@@ -294,8 +294,8 @@ int main(int argc, char** argv) {
         "std::nth_element and vs paying for the full sort; query-groupby: "
         "first-class group_by vs stable_sort-then-scan), and the in-place "
         "families (inplace-32/64: the block-permutation kernel vs the "
-        "engine's out-of-place pick vs the American-flag baseline, with "
-        "peak leased workspace reported per variant). Times "
+        "engine's out-of-place pick, with peak leased workspace reported "
+        "per variant). Times "
         "are medians over the "
         "timed repetitions on a warm workspace; every scenario is "
         "cross-checked (see 'check').",

@@ -4,10 +4,9 @@
 //                       no shared workspace), stable blocked vs the
 //                       unstable Thm 4.1 atomic scatter, by bucket count
 //                       (formerly bench_counting_sort).
-//   engine-distribute — scatter strategies head-to-head (direct | buffered
-//                       | unstable | automatic) by bucket count (formerly
-//                       bench_distribute; BENCH_distribute.json is the
-//                       PR-1-era baseline for these numbers).
+//   engine-distribute — scatter strategies head-to-head (direct |
+//                       unstable) by bucket count (formerly
+//                       bench_distribute).
 //   engine-workspace  — DovetailSort with a warm persistent workspace vs a
 //                       cold per-sort one: the cost of hot-path allocation
 //                       the reusable arena removes.
@@ -23,9 +22,7 @@ namespace dtb {
 
 inline const char* strategy_name(dovetail::scatter_strategy s) {
   switch (s) {
-    case dovetail::scatter_strategy::automatic: return "Auto";
     case dovetail::scatter_strategy::direct: return "Direct";
-    case dovetail::scatter_strategy::buffered: return "Buffered";
     case dovetail::scatter_strategy::unstable: return "Unstable";
   }
   return "?";
@@ -180,13 +177,11 @@ inline void register_engine_scenarios(const run_config& cfg) {
     }
   }
 
-  // --- engine-distribute: scatter strategies (BENCH_distribute lineage) ---
+  // --- engine-distribute: scatter strategies ---
   for (std::size_t b : {std::size_t{256}, std::size_t{4096},
                         std::size_t{65536}}) {
     for (const auto strategy : {dovetail::scatter_strategy::direct,
-                                dovetail::scatter_strategy::buffered,
-                                dovetail::scatter_strategy::unstable,
-                                dovetail::scatter_strategy::automatic}) {
+                                dovetail::scatter_strategy::unstable}) {
       scenario s;
       s.bench = "engine-distribute";
       s.col = strategy_name(strategy);

@@ -30,7 +30,9 @@ int main(int argc, char** argv) {
   const double dt_time = t1.seconds();
 
   dovetail::timer t2;
-  dovetail::baseline::msd_radix_sort(std::span<std::uint64_t>(keys2));
+  dovetail::sort_options plain;  // plain MSD radix: no heavy-key detection
+  plain.detect_heavy = false;
+  dovetail::dovetail_sort(std::span<std::uint64_t>(keys2), plain);
   const double plain_time = t2.seconds();
 
   // Run-length scan over the sorted keys = frequency histogram.

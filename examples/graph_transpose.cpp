@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
     dovetail::dovetail_sort(span, key);
   };
   constexpr auto plis = [](auto span, auto key) {
-    dovetail::baseline::msd_radix_sort(span, key);
+    dovetail::run_sorter(dovetail::algo::plis, span, key);
   };
 
   auto g = app::build_csr(v, gen::powerlaw_graph(v, m, 1.2), dt);

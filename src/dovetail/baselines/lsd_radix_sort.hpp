@@ -6,10 +6,8 @@
 // contrasts the parallel MSD framework against (MSD recursion is preferred
 // in parallel because subproblems become independent).
 //
-// Every pass runs through the unified distribution engine (distribute.hpp),
-// so the scatter strategy is selectable: `direct` is the textbook scatter,
-// `buffered` staging turns this into the RADULS-style sort that
-// buffered_lsd_radix_sort.hpp exposes, and `automatic` picks per pass.
+// Every pass runs through the unified distribution engine (distribute.hpp)
+// with its stable `direct` scatter.
 #pragma once
 
 #include <algorithm>
@@ -27,15 +25,11 @@ namespace dovetail::baseline {
 
 struct lsd_options {
   int gamma = 8;  // digit width in bits (256 buckets by default)
-  // Default `direct`: this baseline stands for the *textbook* LSD sort in
-  // the paper's comparison, so it must not silently adopt the buffered
-  // RADULS scatter (that is the RD baseline's identity — see
-  // buffered_lsd_radix_sort.hpp). Opt into `buffered`/`automatic` freely
-  // when using this sort outside the paper-reproduction benchmarks.
+  // Ignored: every pass is stable, so `direct`. Kept because perfbench/
+  // sets it.
   scatter_strategy scatter = scatter_strategy::direct;
-  std::size_t scatter_buffer_bytes = 256;  // buffered staging per bucket
-  sort_workspace* workspace = nullptr;     // reuse across sorts; may be null
-  sort_stats* stats = nullptr;             // engine counters; may be null
+  sort_workspace* workspace = nullptr;  // reuse across sorts; may be null
+  sort_stats* stats = nullptr;          // engine counters; may be null
 };
 
 template <typename Rec, typename KeyFn>
@@ -67,9 +61,7 @@ void lsd_radix_sort(std::span<Rec> data, const KeyFn& key,
   const std::span<std::size_t> offs = off_lease.carve<std::size_t>(zones + 1);
 
   distribute_options dopt;
-  dopt.strategy = opt.scatter;
   dopt.require_stable = true;  // LSD correctness relies on stable passes
-  dopt.buffer_bytes = opt.scatter_buffer_bytes;
   dopt.workspace = &ws;
   dopt.stats = opt.stats;
   for (int p = 0; p < passes; ++p) {

@@ -23,10 +23,8 @@
 //   counting  — one stable distribution pass over the exact key range
 //               (counting sort): unbeatable when max-min is small, because
 //               every other kernel pays at least one extra pass.
-//   lsd       — classic LSD radix sort (baselines/lsd_radix_sort.hpp) with
-//               a sketch-tuned scatter strategy: buffered RADULS-style
-//               staging for uniform digits, direct stores when the sampled
-//               low digit is heavily skewed (few hot buckets).
+//   lsd       — classic LSD radix sort (baselines/lsd_radix_sort.hpp):
+//               a few fixed 8-bit passes, each the engine's direct scatter.
 //   dtsort    — dovetail_sort with auto gamma and the overflow-bucket range
 //               trick: the heavy-duplicate / wide-key workhorse.
 //
@@ -165,7 +163,8 @@ inline std::optional<codec_kind> codec_kind_of(const sort_stats& st) {
 struct kernel_plan {
   sort_kernel kernel = sort_kernel::dtsort;
   int gamma = 0;  // digit width for lsd/dtsort; 0 = the kernel's default
-  scatter_strategy scatter = scatter_strategy::automatic;
+  // Always `direct`; kept because perfbench/ copies it into lsd_options.
+  scatter_strategy scatter = scatter_strategy::direct;
   // Workers the kernel runs under (1 = serial; see parallel_crossover_n).
   // Recorded in sort_stats::chosen_parallelism next to chosen_kernel.
   int parallelism = 1;
@@ -229,12 +228,11 @@ struct dispatch_policy {
   // top key above ~20% (Zipf s >= ~1.5) is worth a heavy bucket even on
   // 32-bit keys (BENCH_auto.json: Zipf-1.5/32 DTSort 22ms vs LSD 32ms),
   // but bitwise-skewed inputs with a moderate top key (BExp-30/32,
-  // top ~34%) still belong to direct-scatter LSD — hence the ordering.
+  // top ~34%) still belong to LSD — hence the ordering.
   double dtsort_mid_top_freq = 0.20;
-  // Low-digit skew => LSD with direct stores: when one byte value owns
-  // this share of the sampled low digit, few scatter cursors are hot and
-  // buffered staging only adds copies (BENCH_suite.json: BExp-10/30 LSD
-  // beats RD by 1.3-1.6x; hashed-uniform digits favour buffered).
+  // Low-digit skew => LSD: when one byte value owns this share of the
+  // sampled low digit (the BExp family), few scatter cursors are hot and
+  // LSD's fixed passes beat DTSort's recursion (BENCH_suite.json BExp-10/30).
   double direct_digit_share = 0.25;
   // Keys at most this wide with no duplicate/skew signal go to LSD: at
   // gamma=8 that is <= 4 fixed passes, which beat MSD recursion on every
@@ -329,7 +327,7 @@ struct dispatch_policy {
     } else if (s.digit_top_share() >= direct_digit_share &&
                allowed(sort_kernel::lsd)) {
       p.kernel = sort_kernel::lsd;
-      p.reason = "bitwise-skewed digits: LSD with direct stores";
+      p.reason = "bitwise-skewed digits: LSD";
     } else if (s.top_freq() >= dtsort_mid_top_freq &&
                allowed(sort_kernel::dtsort)) {
       p.kernel = sort_kernel::dtsort;
@@ -352,12 +350,7 @@ struct dispatch_policy {
   // alike (so policy::always benchmarks measure the kernel the dispatcher
   // would actually run).
   void tune(kernel_plan& p, const input_sketch& s) const {
-    if (p.kernel == sort_kernel::lsd) {
-      p.gamma = 8;
-      p.scatter = s.digit_top_share() >= direct_digit_share
-                      ? scatter_strategy::direct
-                      : scatter_strategy::automatic;
-    }
+    if (p.kernel == sort_kernel::lsd) p.gamma = 8;
     p.parallelism =
         p.kernel == sort_kernel::std_sort ? 1 : plan_parallelism(s.n);
   }
@@ -687,7 +680,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
         record_choice(plan);
         baseline::lsd_options lopt;
         if (plan.gamma > 0) lopt.gamma = plan.gamma;
-        lopt.scatter = plan.scatter;
         lopt.workspace = &ws;
         lopt.stats = st;
         baseline::lsd_radix_sort(data, key, lopt);

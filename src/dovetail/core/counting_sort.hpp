@@ -4,8 +4,8 @@
 //   1. bucket ids are evaluated once per record into a leased id array;
 //   2. an L x B counting matrix and column-major prefix sums yield, for
 //      every (block, bucket) pair, the stable output offset;
-//   3. each block scatters its records (direct stores or buffered memcpy
-//      bursts, see scatter_strategy in sort_options.hpp).
+//   3. each block scatters its records with one direct store per record
+//      to its cursor (scatter_strategy in sort_options.hpp).
 //
 // Work O(n + L*B), span O(B + n/L + log n). Scratch memory is leased from a
 // sort_workspace — pass one via distribute_options to make repeated calls

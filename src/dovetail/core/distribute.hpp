@@ -1,8 +1,8 @@
 // The unified distribution engine: one stable blocked counting-sort kernel
 // (Sec 2.4 / Appendix B) serving every radix layer in the library — DTSort's
-// recursive distribution, the LSD/MSD/buffered baselines, semisort, and the
-// unstable Thm 4.1 variant — parameterized by a scatter strategy and backed
-// by a reusable sort_workspace so the hot path performs no allocations.
+// recursive distribution, the LSD baseline, semisort, and the unstable
+// Thm 4.1 variant — backed by a reusable sort_workspace so the hot path
+// performs no allocations.
 //
 // Phases of one distribute() call on n records and B buckets:
 //   0. bucket ids are evaluated once per record into a leased id array
@@ -15,16 +15,12 @@
 //      which is exactly the stable order;
 //   3. scatter, per strategy (scatter_strategy in sort_options.hpp):
 //        direct    one store per record to its cursor;
-//        buffered  records staged in per-(block, bucket) software buffers,
-//                  flushed in contiguous memcpy bursts (the RADULS trick,
-//                  generalized from the former one-off buffered LSD
-//                  baseline) — stable and byte-identical to `direct`;
 //        unstable  one atomic fetch-and-add per record (Thm 4.1); skips the
 //                  cursor conversion, order within a bucket unspecified.
 //
-// Work O(n + L*B), span O(B + n/L + log n). All scratch (ids, matrix,
-// staging buffers) is leased from a sort_workspace; after warm-up every
-// lease is a freelist hit (see workspace.hpp and test_workspace.cpp).
+// Work O(n + L*B), span O(B + n/L + log n). All scratch (ids, matrix) is
+// leased from a sort_workspace; after warm-up every lease is a freelist hit
+// (see workspace.hpp and test_workspace.cpp).
 #pragma once
 
 #include <algorithm>
@@ -32,7 +28,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <type_traits>
 
@@ -47,13 +42,10 @@
 namespace dovetail {
 
 struct distribute_options {
-  scatter_strategy strategy = scatter_strategy::automatic;
+  scatter_strategy strategy = scatter_strategy::direct;
   // Set by stable sorts: downgrades an `unstable` strategy request to
-  // `automatic` so a pass can never silently break a stability guarantee.
+  // `direct` so a pass can never silently break a stability guarantee.
   bool require_stable = false;
-  // Staging bytes per (block, bucket) for the buffered scatter; rounded
-  // down to whole records, minimum 4 records.
-  std::size_t buffer_bytes = 256;
   // Scratch arena; nullptr = a private ephemeral workspace per call (slabs
   // are still pooled across the phases of the call, then freed).
   sort_workspace* workspace = nullptr;
@@ -130,33 +122,12 @@ inline void column_totals(std::span<const std::size_t> counts,
   });
 }
 
-template <typename Rec>
-scatter_strategy resolve_scatter(scatter_strategy s, std::size_t n,
-                                 std::size_t num_buckets) {
-  if (s == scatter_strategy::automatic) {
-    // Buffered staging pays once there are enough cursors that direct
-    // stores walk a working set wider than the TLB/cache reach, and enough
-    // records per bucket to fill bursts. Above ~8k buckets the staging
-    // buffers themselves outgrow L2 and the trick backfires (measured in
-    // bench_suite engine-distribute: B=65536 buffered ~1.3x slower than
-    // direct).
-    if (std::is_trivially_copyable_v<Rec> && num_buckets >= 256 &&
-        num_buckets <= 8192 && n >= 64 * num_buckets)
-      return scatter_strategy::buffered;
-    return scatter_strategy::direct;
-  }
-  if (s == scatter_strategy::buffered && !std::is_trivially_copyable_v<Rec>)
-    return scatter_strategy::direct;  // memcpy bursts need trivial copies
-  return s;
-}
-
 // Engine body, monomorphized on the id width.
 template <typename IdT, typename Rec, typename BucketFn>
 void distribute_ids(std::span<const Rec> in, std::span<Rec> out,
                     std::size_t num_buckets, const BucketFn& bucket_of,
                     std::span<std::size_t> offsets, sort_workspace& ws,
-                    scatter_strategy strategy, std::size_t buffer_bytes,
-                    sort_stats* stats) {
+                    scatter_strategy strategy, sort_stats* stats) {
   const std::size_t n = in.size();
   const block_geometry g = distribution_blocks(n, num_buckets);
   const std::size_t nblocks = g.nblocks, bsize = g.bsize;
@@ -210,60 +181,14 @@ void distribute_ids(std::span<const Rec> in, std::span<Rec> out,
     }
   });
 
-  // resolve_scatter never selects `buffered` for non-trivially-copyable
-  // records; the constexpr guard keeps the memcpy path uninstantiated so
-  // such record types (accepted by the direct and unstable scatters, which
-  // only copy-assign) still compile.
-  if (strategy == scatter_strategy::direct ||
-      !std::is_trivially_copyable_v<Rec>) {
-    par::parallel_for(
-        0, nblocks,
-        [&, bsize = bsize](std::size_t b) {
-          const std::size_t lo = b * bsize, hi = std::min(n, lo + bsize);
-          std::size_t* row = counts.data() + b * num_buckets;
-          for (std::size_t i = lo; i < hi; ++i) out[row[ids[i]]++] = in[i];
-        },
-        1);
-    return;
-  }
-
-  // Buffered scatter: stage per (block, bucket), flush in memcpy bursts.
-  if constexpr (std::is_trivially_copyable_v<Rec>) {
-    const std::size_t buf_records =
-        std::max<std::size_t>(4, buffer_bytes / sizeof(Rec));
-    par::parallel_for(
-        0, nblocks,
-        [&, bsize = bsize, buf_records](std::size_t b) {
-          sort_workspace::lease stage_lease =
-              ws.acquire(num_buckets * (buf_records * sizeof(Rec) +
-                                        sizeof(std::uint32_t)) +
-                             2 * kSlabAlign,
-                         stats);
-          std::span<Rec> stage =
-              stage_lease.carve<Rec>(num_buckets * buf_records);
-          std::span<std::uint32_t> fill =
-              stage_lease.carve<std::uint32_t>(num_buckets);
-          std::fill(fill.begin(), fill.end(), 0);
-          const std::size_t lo = b * bsize, hi = std::min(n, lo + bsize);
-          std::size_t* row = counts.data() + b * num_buckets;
-          for (std::size_t i = lo; i < hi; ++i) {
-            const std::size_t z = ids[i];
-            stage[z * buf_records + fill[z]] = in[i];
-            if (++fill[z] == buf_records) {
-              std::memcpy(out.data() + row[z], stage.data() + z * buf_records,
-                          buf_records * sizeof(Rec));
-              row[z] += buf_records;
-              fill[z] = 0;
-            }
-          }
-          for (std::size_t z = 0; z < num_buckets; ++z) {
-            if (fill[z] != 0)
-              std::memcpy(out.data() + row[z], stage.data() + z * buf_records,
-                          fill[z] * sizeof(Rec));
-          }
-        },
-        1);
-  }
+  par::parallel_for(
+      0, nblocks,
+      [&, bsize = bsize](std::size_t b) {
+        const std::size_t lo = b * bsize, hi = std::min(n, lo + bsize);
+        std::size_t* row = counts.data() + b * num_buckets;
+        for (std::size_t i = lo; i < hi; ++i) out[row[ids[i]]++] = in[i];
+      },
+      1);
 }
 
 }  // namespace detail
@@ -273,8 +198,7 @@ void distribute_ids(std::span<const Rec> in, std::span<Rec> out,
 // equal size; `offsets` must have size num_buckets + 1 and is filled so
 // that offsets[k] is the first index of bucket k in `out` and
 // offsets[num_buckets] == in.size(). Stable unless the `unstable` strategy
-// is requested explicitly; `direct` and `buffered` produce byte-identical
-// output.
+// is requested explicitly.
 template <typename Rec, typename BucketFn>
 void distribute(std::span<const Rec> in, std::span<Rec> out,
                 std::size_t num_buckets, const BucketFn& bucket_of,
@@ -298,34 +222,20 @@ void distribute(std::span<const Rec> in, std::span<Rec> out,
   }
   sort_workspace local_ws;  // used only when no workspace was passed
   sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  scatter_strategy requested = opt.strategy;
-  if (opt.require_stable && requested == scatter_strategy::unstable)
-    requested = scatter_strategy::automatic;
-  const scatter_strategy s =
-      detail::resolve_scatter<Rec>(requested, n, num_buckets);
+  const scatter_strategy s = opt.require_stable
+                                 ? scatter_strategy::direct
+                                 : opt.strategy;
   if (sort_stats* st = opt.stats; st != nullptr) {
-    switch (s) {
-      case scatter_strategy::direct:
-        st->scatter_direct_calls.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case scatter_strategy::buffered:
-        st->scatter_buffered_calls.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case scatter_strategy::unstable:
-        st->scatter_unstable_calls.fetch_add(1, std::memory_order_relaxed);
-        break;
-      case scatter_strategy::automatic:
-        break;  // unreachable after resolution
-    }
+    (s == scatter_strategy::direct ? st->scatter_direct_calls
+                                   : st->scatter_unstable_calls)
+        .fetch_add(1, std::memory_order_relaxed);
   }
   if (num_buckets <= (std::size_t{1} << 16)) {
     detail::distribute_ids<std::uint16_t>(in, out, num_buckets, bucket_of,
-                                          offsets, ws, s, opt.buffer_bytes,
-                                          opt.stats);
+                                          offsets, ws, s, opt.stats);
   } else {
     detail::distribute_ids<std::uint32_t>(in, out, num_buckets, bucket_of,
-                                          offsets, ws, s, opt.buffer_bytes,
-                                          opt.stats);
+                                          offsets, ws, s, opt.stats);
   }
 }
 

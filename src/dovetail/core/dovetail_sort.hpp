@@ -170,9 +170,7 @@ class dt_sorter {
         ws_->acquire((nb + 1) * sizeof(std::size_t), opt_.stats);
     const std::span<std::size_t> offs = off_lease.carve<std::size_t>(nb + 1);
     distribute_options dopt;
-    dopt.strategy = opt_.scatter;
     dopt.require_stable = true;  // DTSort's stability guarantee
-    dopt.buffer_bytes = opt_.scatter_buffer_bytes;
     dopt.workspace = ws_;
     dopt.stats = opt_.stats;
     distribute(data, oth.subspan(lo, n), nb, bucket_of, offs, dopt);
@@ -276,8 +274,8 @@ class dt_sorter {
 // overlap the workspace's buffers.
 //
 // Guarantees:
-//   * Stable — records with equal keys keep their input order (unaffected
-//     by opt.scatter: the unstable strategy is ignored here).
+//   * Stable — records with equal keys keep their input order (every
+//     distribution pass runs the engine's stable `direct` scatter).
 //   * O(n sqrt(log r)) work and ~O(2^sqrt(log r)) span (r = key range;
 //     Thm 4.5), O(n) work for exponential key-frequency or few-distinct-key
 //     inputs (Thm 4.6/4.7).

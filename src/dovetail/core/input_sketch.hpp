@@ -108,8 +108,8 @@ struct input_sketch {
   }
   // Share of the most frequent low radix digit (byte) among distinct
   // sampled keys. ~1/256 for keys with uniform low bits; large for
-  // bitwise-skewed inputs (the BExp family), where direct stores beat
-  // buffered staging because few scatter cursors are hot.
+  // bitwise-skewed inputs (the BExp family), where few scatter cursors are
+  // hot and LSD's fixed passes win (dispatch_policy::direct_digit_share).
   [[nodiscard]] double digit_top_share() const {
     return distinct_samples == 0 ? 0.0
                                  : static_cast<double>(digit_top_count) /

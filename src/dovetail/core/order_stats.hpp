@@ -23,8 +23,8 @@
 //
 // The driver (detail::rank_selector) is the MSD mirror of the engine's
 // recursion: distribute on the current radix byte through the SAME
-// stable engine (core/distribute.hpp, workspace-leased, scatter-strategy
-// aware), then recurse only into window-intersecting buckets —
+// stable engine (core/distribute.hpp, workspace-leased), then recurse
+// only into window-intersecting buckets —
 // byte by byte within a word, word by word across wide keys.
 // Pruning decisions land in sort_stats (buckets_pruned /
 // records_pruned, cumulative) and the query entry point in
@@ -391,7 +391,7 @@ class rank_selector {
         if (active[b] != 0) a += bhi - blo;
       }
       // Carve pays when it skips most of the segment; otherwise the plain
-      // stable scatter (with its buffered-burst cursor engine) wins.
+      // stable scatter wins.
       if (a == 0 || a * 4 > n) return false;
       const std::size_t m = n - a;
 

@@ -33,10 +33,10 @@ namespace dovetail {
 // semisort would.
 //
 // Space: O(n) extra, leased from a sort_workspace. Distribution runs
-// through the unified engine (distribute.hpp), so opt.workspace /
-// opt.scatter apply exactly as in dovetail_sort: passing the same
-// workspace to repeated semisorts reuses all O(n) scratch after warm-up
-// (one in-flight call per workspace).
+// through the unified engine (distribute.hpp), so opt.workspace applies
+// exactly as in dovetail_sort: passing the same workspace to repeated
+// semisorts reuses all O(n) scratch after warm-up (one in-flight call per
+// workspace).
 template <typename Rec, typename KeyFn>
 void semisort(std::span<Rec> data, const KeyFn& key,
               const sort_options& opt = {}) {

@@ -13,23 +13,16 @@ class sort_workspace;
 
 // How the distribution engine (distribute.hpp) scatters records to their
 // bucket positions:
-//   automatic — pick per call: `buffered` when the bucket count is large
-//               enough that direct stores thrash the TLB/cache and the
-//               record type is trivially copyable, else `direct`.
 //   direct    — one store per record straight to the output cursor (the
 //               classic blocked counting sort of Sec 2.4 / Appendix B).
-//   buffered  — stage records in per-(block, bucket) cache-line-sized
-//               software buffers and flush each buffer with one contiguous
-//               memcpy burst (the RADULS trick). Stable, byte-identical
-//               output to `direct`.
+//               Every stable pass runs it.
 //   unstable  — one atomic fetch-and-add per record claims the output slot
 //               (Thm 4.1 / Appendix B). Records of a bucket land in
-//               arbitrary order; never chosen automatically, and treated as
-//               `automatic` by the stable sorts (DTSort, LSD, MSD).
+//               arbitrary order; requested only through distribute() /
+//               unstable_counting_sort(), and treated as `direct` by the
+//               stable sorts (DTSort, LSD, semisort).
 enum class scatter_strategy : std::uint8_t {
-  automatic,
   direct,
-  buffered,
   unstable,
 };
 
@@ -102,16 +95,6 @@ struct sort_options {
   // scoped to the call (par::scoped_worker_limit) and composes with an
   // enclosing cap by taking the minimum.
   int num_threads = 0;
-
-  // Scatter strategy for every distribution pass (see the enum above).
-  // `unstable` would break DTSort's stability guarantee and is treated as
-  // `automatic` here; request it only through distribute()/
-  // unstable_counting_sort() directly.
-  scatter_strategy scatter = scatter_strategy::automatic;
-
-  // Staging bytes per bucket for the `buffered` scatter (per block). Rounded
-  // down to whole records, minimum 4 records.
-  std::size_t scatter_buffer_bytes = 256;
 
   // Reusable memory arena (see workspace.hpp). Pass the same workspace to
   // repeated sorts and every size-proportional scratch buffer is reused

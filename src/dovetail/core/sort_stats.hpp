@@ -52,9 +52,10 @@ struct sort_stats {
   std::atomic<std::uint64_t> workspace_reuses{0};
   // Bytes newly allocated by the workspace (slab capacities, not requests).
   std::atomic<std::uint64_t> workspace_bytes_allocated{0};
-  // Distribution calls per scatter strategy actually executed (after
-  // `automatic` resolution) — lets tests and benchmarks confirm routing.
+  // Distribution calls per scatter strategy actually executed (after the
+  // stable sorts' `unstable` -> `direct` downgrade).
   std::atomic<std::uint64_t> scatter_direct_calls{0};
+  // Always 0 (the buffered scatter is gone); kept because perfbench/ reads it.
   std::atomic<std::uint64_t> scatter_buffered_calls{0};
   std::atomic<std::uint64_t> scatter_unstable_calls{0};
   // In-place permutation passes executed (one per MSD node that ran the

@@ -18,7 +18,7 @@
 //    workspaces).
 //  * acquire(bytes) — an RAII lease on a 64-byte-aligned scratch slab from a
 //    size-classed freelist pool (counting matrices, id arrays, offsets,
-//    scatter staging buffers). Thread-safe: recursive subproblems running in
+//    in-place staging blocks). Thread-safe: recursive subproblems running in
 //    parallel on scheduler workers lease and return slabs concurrently.
 //    Slabs are pow2-sized, so after warm-up every size class is populated
 //    and checkouts are pure reuse.

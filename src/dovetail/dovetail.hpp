@@ -30,14 +30,13 @@
 // Layer 3 — core algorithms.
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/core/semisort.hpp"
 #include "dovetail/core/unstable_counting_sort.hpp"
 
-// Layer 3 — paper-baseline sorters (Tab 2 roles).
-#include "dovetail/baselines/buffered_lsd_radix_sort.hpp"
-#include "dovetail/baselines/inplace_radix_sort.hpp"
+// Layer 3 — paper-baseline sorters (Tab 2 roles; util/algorithms.hpp maps
+// the PLIS and IPS2Ra roles onto the core kernels above).
 #include "dovetail/baselines/lsd_radix_sort.hpp"
-#include "dovetail/baselines/msd_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
 
 // Layer 2 — the distribution engine and its instrumentation.

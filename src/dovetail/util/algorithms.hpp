@@ -3,11 +3,12 @@
 // examples to sweep "all algorithms" uniformly.
 //
 //   dtsort      — DovetailSort (Ours)
-//   plis        — plain stable MSD radix (ParlayLib integer sort stand-in)
-//   ips2ra      — in-place unstable MSD radix (IPS2Ra / RegionsSort role)
+//   plis        — plain stable MSD radix (ParlayLib integer sort stand-in):
+//                 dovetail_sort with heavy-key detection off, the "Plain"
+//                 arm of the Fig 4(a,b) ablation
+//   ips2ra      — in-place unstable MSD radix (IPS2Ra / RegionsSort role):
+//                 the block-permutation kernel of core/inplace_sort.hpp
 //   lsd         — classic stable LSD radix
-//   rd          — buffered LSD radix (RADULS role; paper runs it 64-bit
-//                 only, we run it everywhere)
 //   plss        — samplesort, unstable variant (PLSS role)
 //   ips4o       — samplesort, stable variant w/ equality buckets (IPS4o is
 //                 unstable in the paper; our stable variant plays the
@@ -21,12 +22,10 @@
 #include <string>
 #include <vector>
 
-#include "dovetail/baselines/buffered_lsd_radix_sort.hpp"
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/lsd_radix_sort.hpp"
-#include "dovetail/baselines/msd_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 
 namespace dovetail {
 
@@ -35,7 +34,6 @@ enum class algo {
   plis,
   ips2ra,
   lsd,
-  rd,
   plss,
   ips4o,
   std_stable,
@@ -47,7 +45,6 @@ inline const char* algo_name(algo a) {
     case algo::plis: return "PLIS";
     case algo::ips2ra: return "IPS2Ra";
     case algo::lsd: return "LSD";
-    case algo::rd: return "RD";
     case algo::plss: return "PLSS";
     case algo::ips4o: return "IPS4o";
     case algo::std_stable: return "StdStable";
@@ -57,12 +54,12 @@ inline const char* algo_name(algo a) {
 
 inline bool algo_is_stable(algo a) {
   return a == algo::dtsort || a == algo::plis || a == algo::lsd ||
-         a == algo::rd || a == algo::ips4o || a == algo::std_stable;
+         a == algo::ips4o || a == algo::std_stable;
 }
 
 inline std::vector<algo> all_parallel_algos() {
   return {algo::dtsort, algo::plis, algo::ips2ra, algo::lsd,
-          algo::rd,     algo::plss, algo::ips4o};
+          algo::plss,   algo::ips4o};
 }
 
 // Every registered sorter, including the sequential std::stable_sort
@@ -94,17 +91,18 @@ void run_sorter(algo a, std::span<Rec> data, const KeyFn& key,
       return;
     }
     case algo::plis: {
-      baseline::radix_options opt;
+      sort_options opt;
+      opt.detect_heavy = false;
       opt.workspace = ctx.workspace;
       opt.stats = ctx.stats;
-      baseline::msd_radix_sort(data, key, opt);
+      dovetail_sort(data, key, opt);
       return;
     }
     case algo::ips2ra: {
-      baseline::inplace_radix_options opt;
+      inplace_sort_options opt;
       opt.workspace = ctx.workspace;
       opt.stats = ctx.stats;
-      baseline::inplace_radix_sort(data, key, opt);
+      inplace_sort(data, key, opt);
       return;
     }
     case algo::lsd: {
@@ -112,13 +110,6 @@ void run_sorter(algo a, std::span<Rec> data, const KeyFn& key,
       opt.workspace = ctx.workspace;
       opt.stats = ctx.stats;
       baseline::lsd_radix_sort(data, key, opt);
-      return;
-    }
-    case algo::rd: {
-      baseline::buffered_lsd_options opt;
-      opt.workspace = ctx.workspace;
-      opt.stats = ctx.stats;
-      baseline::buffered_lsd_radix_sort(data, key, opt);
       return;
     }
     case algo::plss: {

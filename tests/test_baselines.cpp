@@ -1,5 +1,7 @@
 // Correctness tests for all baseline sorters (PLIS-like MSD radix, LSD
-// radix, in-place unstable radix, samplesort stable/unstable).
+// radix, in-place unstable radix, samplesort stable/unstable). The PLIS
+// and IPS2Ra roles run core kernels (util/algorithms.hpp): dovetail_sort
+// without heavy-key detection and the in-place kernel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,11 +9,12 @@
 #include <span>
 #include <vector>
 
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/lsd_radix_sort.hpp"
-#include "dovetail/baselines/msd_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
+#include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
+#include "dovetail/util/algorithms.hpp"
 #include "dovetail/util/record.hpp"
 #include "test_util.hpp"
 
@@ -59,18 +62,14 @@ const gen::distribution kCases[] = {
 TEST(MsdRadixSort, StableOnAllDistributions32) {
   for (const auto& d : kCases)
     check_stable_sorter<kv32>(
-        [](std::span<kv32> s, auto key) {
-          baseline::msd_radix_sort(s, key);
-        },
+        [](std::span<kv32> s, auto key) { run_sorter(algo::plis, s, key); },
         d, 120000, 41);
 }
 
 TEST(MsdRadixSort, StableOnAllDistributions64) {
   for (const auto& d : kCases)
     check_stable_sorter<kv64>(
-        [](std::span<kv64> s, auto key) {
-          baseline::msd_radix_sort(s, key);
-        },
+        [](std::span<kv64> s, auto key) { run_sorter(algo::plis, s, key); },
         d, 120000, 42);
 }
 
@@ -78,7 +77,8 @@ TEST(MsdRadixSort, SmallGammaDeepRecursion) {
   for (const auto& d : kCases)
     check_stable_sorter<kv32>(
         [](std::span<kv32> s, auto key) {
-          baseline::msd_radix_sort(s, key, {.gamma = 3, .base_case = 16});
+          dovetail_sort(s, key,
+                        {.gamma = 3, .base_case = 16, .detect_heavy = false});
         },
         d, 60000, 43);
 }
@@ -86,8 +86,8 @@ TEST(MsdRadixSort, SmallGammaDeepRecursion) {
 TEST(MsdRadixSort, EdgeSizes) {
   for (std::size_t n : {0ul, 1ul, 2ul, 100ul}) {
     auto v = gen::generate_records<kv32>(kCases[0], n, 44);
-    baseline::msd_radix_sort(std::span<kv32>(v),
-                             [](const kv32& r) { return r.key; });
+    run_sorter(algo::plis, std::span<kv32>(v),
+               [](const kv32& r) { return r.key; });
     EXPECT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key_of_kv32));
   }
 }
@@ -136,18 +136,14 @@ TEST(LsdRadixSort, OddNumberOfPassesCopiesBack) {
 TEST(InplaceRadixSort, CorrectOnAllDistributions32) {
   for (const auto& d : kCases)
     check_unstable_sorter<kv32>(
-        [](std::span<kv32> s, auto key) {
-          baseline::inplace_radix_sort(s, key);
-        },
+        [](std::span<kv32> s, auto key) { run_sorter(algo::ips2ra, s, key); },
         d, 120000, 48);
 }
 
 TEST(InplaceRadixSort, CorrectOnAllDistributions64) {
   for (const auto& d : kCases)
     check_unstable_sorter<kv64>(
-        [](std::span<kv64> s, auto key) {
-          baseline::inplace_radix_sort(s, key);
-        },
+        [](std::span<kv64> s, auto key) { run_sorter(algo::ips2ra, s, key); },
         d, 80000, 49);
 }
 
@@ -156,7 +152,7 @@ TEST(InplaceRadixSort, UsesNoExtraBufferForRecords) {
   // (by definition of the API); just verify the permutation property.
   check_unstable_sorter<kv32>(
       [](std::span<kv32> s, auto key) {
-        baseline::inplace_radix_sort(s, key, {.gamma = 4, .base_case = 32});
+        inplace_sort(s, key, {.gamma = 4, .base_case = 32});
       },
       kCases[4], 60000, 50);
 }

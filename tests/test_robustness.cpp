@@ -11,12 +11,13 @@
 #include <span>
 #include <vector>
 
-#include "dovetail/baselines/inplace_radix_sort.hpp"
 #include "dovetail/baselines/sample_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
+#include "dovetail/core/inplace_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/scheduler.hpp"
+#include "dovetail/util/algorithms.hpp"
 #include "dovetail/util/record.hpp"
 #include "test_util.hpp"
 
@@ -125,12 +126,17 @@ TEST(Robustness, InplaceRadixGammaSweep) {
                                           80000, 65);
   auto key = key_of_kv32;
   const auto fp = dtt::multiset_hash(std::span<const kv32>(base), key);
+  auto v = base;
+  run_sorter(algo::ips2ra, std::span<kv32>(v), key);
+  ASSERT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key));
+  ASSERT_EQ(dtt::multiset_hash(std::span<const kv32>(v), key), fp);
   for (int gamma : {2, 6, 8, 11}) {
-    auto v = base;
-    baseline::inplace_radix_sort(std::span<kv32>(v), key,
-                                 {.gamma = gamma, .base_case = 128});
-    ASSERT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key));
-    ASSERT_EQ(dtt::multiset_hash(std::span<const kv32>(v), key), fp);
+    v = base;
+    inplace_sort(std::span<kv32>(v), key, {.gamma = gamma, .base_case = 128});
+    ASSERT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key))
+        << "gamma=" << gamma;
+    ASSERT_EQ(dtt::multiset_hash(std::span<const kv32>(v), key), fp)
+        << "gamma=" << gamma;
   }
 }
 

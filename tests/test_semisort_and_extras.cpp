@@ -1,5 +1,5 @@
 // Tests for semisort, the unstable counting sort (Appendix B), and the
-// buffered LSD radix sort (RD stand-in).
+// LSD radix sort (distributions, digit widths, edge sizes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,7 @@
 #include <span>
 #include <vector>
 
-#include "dovetail/baselines/buffered_lsd_radix_sort.hpp"
+#include "dovetail/baselines/lsd_radix_sort.hpp"
 #include "dovetail/core/semisort.hpp"
 #include "dovetail/core/unstable_counting_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
@@ -152,9 +152,9 @@ TEST(UnstableCountingSort, EmptyInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Buffered LSD radix sort (RD stand-in)
+// LSD radix sort
 
-TEST(BufferedLsd, StableAcrossDistributions32) {
+TEST(LsdRadix, StableAcrossDistributions32) {
   for (const auto& d : std::vector<gen::distribution>{
            {gen::dist_kind::uniform, 1e9, "u"},
            {gen::dist_kind::zipfian, 1.2, "z"},
@@ -164,7 +164,7 @@ TEST(BufferedLsd, StableAcrossDistributions32) {
     std::stable_sort(ref.begin(), ref.end(), [](const kv32& a, const kv32& b) {
       return a.key < b.key;
     });
-    baseline::buffered_lsd_radix_sort(std::span<kv32>(v), key_of_kv32);
+    baseline::lsd_radix_sort(std::span<kv32>(v), key_of_kv32);
     for (std::size_t i = 0; i < v.size(); ++i) {
       ASSERT_EQ(v[i].key, ref[i].key) << i;
       ASSERT_EQ(v[i].value, ref[i].value) << i;
@@ -172,44 +172,29 @@ TEST(BufferedLsd, StableAcrossDistributions32) {
   }
 }
 
-TEST(BufferedLsd, StableAcrossDistributions64) {
+TEST(LsdRadix, StableAcrossDistributions64) {
   auto v = gen::generate_records<kv64>({gen::dist_kind::exponential, 7, "e"},
                                        120000, 22);
   auto ref = v;
   std::stable_sort(ref.begin(), ref.end(), [](const kv64& a, const kv64& b) {
     return a.key < b.key;
   });
-  baseline::buffered_lsd_radix_sort(std::span<kv64>(v), key_of_kv64);
+  baseline::lsd_radix_sort(std::span<kv64>(v), key_of_kv64);
   for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(v[i], ref[i]);
 }
 
-TEST(BufferedLsd, BufferSizeSweep) {
-  auto base = gen::generate_records<kv32>({gen::dist_kind::zipfian, 1.0, "z"},
-                                          80000, 23);
-  auto ref = base;
-  std::stable_sort(ref.begin(), ref.end(), [](const kv32& a, const kv32& b) {
-    return a.key < b.key;
-  });
-  for (std::size_t bytes : {32ul, 64ul, 256ul, 1024ul}) {
-    auto v = base;
-    baseline::buffered_lsd_radix_sort(std::span<kv32>(v), key_of_kv32,
-                                      {.buffer_bytes = bytes});
-    for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(v[i], ref[i]);
-  }
-}
-
-TEST(BufferedLsd, DigitWidthSweepAndEdgeSizes) {
+TEST(LsdRadix, DigitWidthSweepAndEdgeSizes) {
   for (int gamma : {4, 8, 11}) {
     auto v = gen::generate_records<kv32>({gen::dist_kind::uniform, 1e5, "u"},
                                          60000, 24);
-    baseline::buffered_lsd_radix_sort(std::span<kv32>(v), key_of_kv32,
-                                      {.gamma = gamma});
+    baseline::lsd_radix_sort(std::span<kv32>(v), key_of_kv32,
+                             {.gamma = gamma});
     EXPECT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key_of_kv32));
   }
   for (std::size_t n : {0ul, 1ul, 2ul, 17ul}) {
     auto v = gen::generate_records<kv32>({gen::dist_kind::uniform, 1e5, "u"},
                                          n, 25);
-    baseline::buffered_lsd_radix_sort(std::span<kv32>(v), key_of_kv32);
+    baseline::lsd_radix_sort(std::span<kv32>(v), key_of_kv32);
     EXPECT_TRUE(dtt::sorted_by_key(std::span<const kv32>(v), key_of_kv32));
   }
 }

@@ -4,9 +4,10 @@
 //  * repeated dovetail_sort calls on one workspace reach a steady state
 //    with ZERO fresh allocations (the engine's no-hot-path-malloc
 //    property), observable through the new sort_stats counters;
-//  * `direct` and `buffered` scatter strategies produce byte-identical
-//    stable output across the option matrix; `unstable` produces the same
-//    offsets and per-bucket multisets;
+//  * the stable `direct` scatter matches a std::stable_sort-by-bucket
+//    reference across bucket counts and the dovetail_sort option matrix;
+//    `unstable` produces the same offsets and per-bucket multisets, and a
+//    stable caller's `unstable` request runs `direct`;
 //  * the single-bucket short-circuit copies without building id arrays or
 //    counting matrices.
 #include <gtest/gtest.h>
@@ -18,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "dovetail/baselines/lsd_radix_sort.hpp"
 #include "dovetail/core/counting_sort.hpp"
 #include "dovetail/core/distribute.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
@@ -149,8 +149,7 @@ TEST(Workspace, SemisortSharesTheEngineAndWorkspace) {
   auto v = base;
   semisort(std::span<kv32>(v), key_of_kv32, opt);
   // Distribution ran through the engine with workspace-backed scratch.
-  EXPECT_GT(st.scatter_direct_calls.load() + st.scatter_buffered_calls.load(),
-            0u);
+  EXPECT_GT(st.scatter_direct_calls.load(), 0u);
   EXPECT_GT(st.workspace_allocations.load() + st.workspace_reuses.load(), 0u);
   // Equal keys are adjacent: each key starts exactly one run.
   std::set<std::uint32_t> seen;
@@ -163,38 +162,35 @@ TEST(Workspace, SemisortSharesTheEngineAndWorkspace) {
 }
 
 // ---------------------------------------------------------------------------
-// Scatter strategies: identical stable output.
+// Scatter strategies: the stable scatter matches a stable_sort reference.
 
-TEST(ScatterStrategies, DirectAndBufferedByteIdenticalInDistribute) {
+TEST(ScatterStrategies, DirectMatchesStableSortAcrossBucketCounts) {
   for (std::size_t nb : {2ul, 17ul, 256ul, 4096ul, 1ul << 17}) {
     const std::size_t n = nb >= (1ul << 17) ? 120000 : 80000;
     const auto in = random_records(n, static_cast<std::uint32_t>(4 * nb), 7);
     auto bucket_of = [nb](const kv32& r) -> std::size_t { return r.key % nb; };
-    std::vector<kv32> out_direct(n), out_buffered(n), out_auto(n);
-    std::vector<std::size_t> off_direct(nb + 1), off_buffered(nb + 1),
-        off_auto(nb + 1);
-    distribute_options o;
-    o.strategy = scatter_strategy::direct;
-    distribute(std::span<const kv32>(in), std::span<kv32>(out_direct), nb,
-               bucket_of, std::span<std::size_t>(off_direct), o);
-    o.strategy = scatter_strategy::buffered;
-    distribute(std::span<const kv32>(in), std::span<kv32>(out_buffered), nb,
-               bucket_of, std::span<std::size_t>(off_buffered), o);
-    o.strategy = scatter_strategy::automatic;
-    distribute(std::span<const kv32>(in), std::span<kv32>(out_auto), nb,
-               bucket_of, std::span<std::size_t>(off_auto), o);
-    ASSERT_EQ(off_direct, off_buffered) << "nb=" << nb;
-    ASSERT_EQ(off_direct, off_auto) << "nb=" << nb;
-    ASSERT_TRUE(std::equal(out_direct.begin(), out_direct.end(),
-                           out_buffered.begin()))
-        << "nb=" << nb;
-    ASSERT_TRUE(
-        std::equal(out_direct.begin(), out_direct.end(), out_auto.begin()))
+    auto ref = in;
+    std::stable_sort(ref.begin(), ref.end(), [&](const kv32& a, const kv32& b) {
+      return bucket_of(a) < bucket_of(b);
+    });
+    std::vector<kv32> out(n);
+    std::vector<std::size_t> offs(nb + 1);
+    distribute(std::span<const kv32>(in), std::span<kv32>(out), nb, bucket_of,
+               std::span<std::size_t>(offs));
+    for (std::size_t k = 0; k < nb; ++k) {
+      const auto first = std::partition_point(
+          ref.begin(), ref.end(),
+          [&](const kv32& r) { return bucket_of(r) < k; });
+      ASSERT_EQ(offs[k], static_cast<std::size_t>(first - ref.begin()))
+          << "nb=" << nb << " k=" << k;
+    }
+    ASSERT_EQ(offs[nb], n) << "nb=" << nb;
+    ASSERT_TRUE(std::equal(out.begin(), out.end(), ref.begin()))
         << "nb=" << nb;
   }
 }
 
-TEST(ScatterStrategies, DovetailSortIdenticalAcrossOptionsMatrix) {
+TEST(ScatterStrategies, DovetailSortMatchesStableSortAcrossOptionsMatrix) {
   auto zipf = gen::generate_records<kv32>({gen::dist_kind::zipfian, 1.3, "z"},
                                           60000, 91);
   auto ref = zipf;
@@ -208,38 +204,19 @@ TEST(ScatterStrategies, DovetailSortIdenticalAcrossOptionsMatrix) {
         o.detect_heavy = heavy;
         o.use_dt_merge = dtm;
         o.gamma = gamma;
-        std::vector<kv32> results[3];
-        const scatter_strategy strategies[3] = {scatter_strategy::direct,
-                                                scatter_strategy::buffered,
-                                                scatter_strategy::automatic};
-        for (int s = 0; s < 3; ++s) {
-          o.scatter = strategies[s];
-          results[s] = zipf;
-          dovetail_sort(std::span<kv32>(results[s]), key_of_kv32, o);
-          for (std::size_t i = 0; i < ref.size(); ++i) {
-            ASSERT_EQ(results[s][i].key, ref[i].key)
-                << "strategy " << s << " i=" << i;
-            ASSERT_EQ(results[s][i].value, ref[i].value)
-                << "strategy " << s << " i=" << i;
-          }
+        auto v = zipf;
+        dovetail_sort(std::span<kv32>(v), key_of_kv32, o);
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          ASSERT_EQ(v[i].key, ref[i].key)
+              << "heavy=" << heavy << " dtm=" << dtm << " gamma=" << gamma
+              << " i=" << i;
+          ASSERT_EQ(v[i].value, ref[i].value)
+              << "heavy=" << heavy << " dtm=" << dtm << " gamma=" << gamma
+              << " i=" << i;
         }
       }
     }
   }
-}
-
-TEST(ScatterStrategies, LsdBaselineIdenticalAcrossStrategies) {
-  auto in = random_records(120000, 0xFFFFFFFFu, 23);
-  std::vector<kv32> direct = in, buffered = in;
-  baseline::lsd_options lo;
-  lo.scatter = scatter_strategy::direct;
-  baseline::lsd_radix_sort(std::span<kv32>(direct), key_of_kv32, lo);
-  lo.scatter = scatter_strategy::buffered;
-  baseline::lsd_radix_sort(std::span<kv32>(buffered), key_of_kv32, lo);
-  ASSERT_TRUE(std::equal(direct.begin(), direct.end(), buffered.begin()));
-  ASSERT_TRUE(std::is_sorted(
-      direct.begin(), direct.end(),
-      [](const kv32& a, const kv32& b) { return a.key < b.key; }));
 }
 
 TEST(ScatterStrategies, UnstableSameOffsetsAndBucketMultisets) {
@@ -289,13 +266,12 @@ TEST(Distribute, SingleBucketShortCircuits) {
   EXPECT_EQ(offs[1], n);
   for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i].value, i);  // stable
   // Short-circuit: no scatter pass, no workspace traffic.
-  EXPECT_EQ(st.scatter_direct_calls.load() + st.scatter_buffered_calls.load() +
-                st.scatter_unstable_calls.load(),
+  EXPECT_EQ(st.scatter_direct_calls.load() + st.scatter_unstable_calls.load(),
             0u);
   EXPECT_EQ(st.workspace_allocations.load() + st.workspace_reuses.load(), 0u);
 }
 
-TEST(Distribute, StrategyCountersReportResolvedStrategy) {
+TEST(Distribute, StableCallerRunsDirectForUnstableRequest) {
   const std::size_t n = 100000;
   const auto in = random_records(n, 1u << 20, 41);
   std::vector<kv32> out(n);
@@ -304,25 +280,27 @@ TEST(Distribute, StrategyCountersReportResolvedStrategy) {
   sort_stats st;
   distribute_options o;
   o.stats = &st;
-  o.strategy = scatter_strategy::buffered;
-  distribute(std::span<const kv32>(in), std::span<kv32>(out), 256, bucket_of,
-             std::span<std::size_t>(offs), o);
-  EXPECT_EQ(st.scatter_buffered_calls.load(), 1u);
   o.strategy = scatter_strategy::unstable;
   distribute(std::span<const kv32>(in), std::span<kv32>(out), 256, bucket_of,
              std::span<std::size_t>(offs), o);
   EXPECT_EQ(st.scatter_unstable_calls.load(), 1u);
-  // automatic on a dense 256-bucket instance resolves to buffered.
-  o.strategy = scatter_strategy::automatic;
+  EXPECT_EQ(st.scatter_direct_calls.load(), 0u);
+  // require_stable downgrades the request: one direct pass, stable output.
+  o.require_stable = true;
   distribute(std::span<const kv32>(in), std::span<kv32>(out), 256, bucket_of,
              std::span<std::size_t>(offs), o);
-  EXPECT_EQ(st.scatter_buffered_calls.load(), 2u);
+  EXPECT_EQ(st.scatter_unstable_calls.load(), 1u);
+  EXPECT_EQ(st.scatter_direct_calls.load(), 1u);
+  auto ref = in;
+  std::stable_sort(ref.begin(), ref.end(), [&](const kv32& a, const kv32& b) {
+    return bucket_of(a) < bucket_of(b);
+  });
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), ref.begin()));
 }
 
 TEST(Distribute, NonTriviallyCopyableRecordsStillSupported) {
   // The old counting_sort accepted any copy-assignable record; the engine
-  // must keep that contract (`buffered` is never selected for such types
-  // and its memcpy path stays uninstantiated).
+  // must keep that contract (its scatters only copy-assign).
   struct srec {
     std::uint32_t key;
     std::string payload;  // non-trivially-copyable

@@ -4,14 +4,17 @@
 //   gen  --dist <name> --n <count> [--bits 32|64] [--seed S] -o file.bin
 //        Generate a synthetic key/value dataset to a binary file.
 //        <name>: unif-<mu> | exp-<lambda> | zipf-<s> | bexp-<t>
-//   sort -i file.bin [--bits 32|64] [--algo dtsort|plis|ips2ra|lsd|rd|plss|ips4o]
+//   sort -i file.bin [--bits 32|64] [--algo dtsort|plis|ips2ra|lsd|plss|ips4o]
 //        [--verify] [--stats] [-o out.bin]
 //        Sort a dataset file; optionally verify, print work stats, write out.
 //   bench -i file.bin [--bits 32|64] [--reps R]
 //        Time every algorithm on the file and print a comparison table.
 //
 // File format: u64 record count, u32 key bits, then packed kv32/kv64
-// records (key, value).
+// records (key, value). A file whose size disagrees with its header is
+// rejected (exit 1) before any record is allocated.
+#include <algorithm>
+#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -81,16 +84,18 @@ bool parse_dist(const std::string& s, gen::distribution& out) {
   return true;
 }
 
+// Accepts the display name ("IPS2Ra") or its lowercase form ("ips2ra").
 bool parse_algo(const std::string& s, algo& out) {
-  for (algo a : all_parallel_algos())
-    if (s == algo_name(a) || (s == "dtsort" && a == algo::dtsort) ||
-        (s == "plis" && a == algo::plis) ||
-        (s == "ips2ra" && a == algo::ips2ra) || (s == "lsd" && a == algo::lsd) ||
-        (s == "rd" && a == algo::rd) || (s == "plss" && a == algo::plss) ||
-        (s == "ips4o" && a == algo::ips4o)) {
+  for (algo a : all_parallel_algos()) {
+    const std::string name = algo_name(a);
+    std::string lower = name;
+    std::transform(lower.begin(), lower.end(), lower.begin(),
+                   [](unsigned char c) { return std::tolower(c); });
+    if (s == name || s == lower) {
       out = a;
       return true;
     }
+  }
   return false;
 }
 
@@ -113,12 +118,27 @@ bool read_header(std::ifstream& f, std::uint64_t& n, std::uint32_t& bits) {
   return static_cast<bool>(f) && (bits == 32 || bits == 64);
 }
 
+// Reads the n records that follow the 12-byte header. Fails (false) when
+// the file does not hold exactly 12 + n * sizeof(Rec) bytes or the read
+// comes up short — checked before allocating, so a corrupt count cannot
+// request an absurd buffer.
 template <typename Rec>
-std::vector<Rec> read_records(std::ifstream& f, std::uint64_t n) {
-  std::vector<Rec> recs(n);
+bool read_records(std::ifstream& f, std::uint64_t n, std::vector<Rec>& recs) {
+  constexpr std::uint64_t kHeaderBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  const std::streampos pos = f.tellg();
+  f.seekg(0, std::ios::end);
+  const std::streamoff size = f.tellg();
+  f.seekg(pos);
+  if (!f || size < static_cast<std::streamoff>(kHeaderBytes)) return false;
+  // payload == n * sizeof(Rec), phrased so a huge n cannot overflow.
+  const std::uint64_t payload =
+      static_cast<std::uint64_t>(size) - kHeaderBytes;
+  if (payload % sizeof(Rec) != 0 || payload / sizeof(Rec) != n) return false;
+  recs.resize(n);
   f.read(reinterpret_cast<char*>(recs.data()),
          static_cast<std::streamsize>(n * sizeof(Rec)));
-  return recs;
+  return static_cast<bool>(f);
 }
 
 int usage() {
@@ -127,7 +147,7 @@ int usage() {
       "usage:\n"
       "  dtsort gen  --dist unif-1e5|exp-5|zipf-1.2|bexp-100 --n N\n"
       "              [--bits 32|64] [--seed S] -o file.bin\n"
-      "  dtsort sort -i file.bin [--algo dtsort|plis|ips2ra|lsd|rd|plss|ips4o]\n"
+      "  dtsort sort -i file.bin [--algo dtsort|plis|ips2ra|lsd|plss|ips4o]\n"
       "              [--verify] [--stats] [-o out.bin]\n"
       "  dtsort bench -i file.bin [--reps R]\n");
   return 2;
@@ -250,16 +270,21 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot read %s\n", in);
       return 1;
     }
-    if (bits == 32) {
-      auto recs = read_records<dovetail::kv32>(f, n);
-      return cmd == "sort"
-                 ? do_sort(std::move(recs), dovetail::key_of_kv32, args, bits)
-                 : do_bench(recs, dovetail::key_of_kv32, args, bits);
-    }
-    auto recs = read_records<dovetail::kv64>(f, n);
-    return cmd == "sort"
-               ? do_sort(std::move(recs), dovetail::key_of_kv64, args, bits)
-               : do_bench(recs, dovetail::key_of_kv64, args, bits);
+    const auto run = [&](auto rec_tag, const auto& key) {
+      using Rec = decltype(rec_tag);
+      std::vector<Rec> recs;
+      if (!read_records<Rec>(f, n, recs)) {
+        std::fprintf(stderr,
+                     "%s: header says %llu %u-bit records but the file "
+                     "size does not match (truncated or corrupt)\n",
+                     in, static_cast<unsigned long long>(n), bits);
+        return 1;
+      }
+      return cmd == "sort" ? do_sort(std::move(recs), key, args, bits)
+                           : do_bench(recs, key, args, bits);
+    };
+    return bits == 32 ? run(dovetail::kv32{}, dovetail::key_of_kv32)
+                      : run(dovetail::kv64{}, dovetail::key_of_kv64);
   }
 
   return usage();
