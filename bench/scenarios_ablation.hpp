@@ -141,6 +141,15 @@ inline void register_ablation_scenarios(const run_config& cfg) {
                                               "t=2^" + std::to_string(logt),
                                               "32", dovetail::key_of_kv32);
     }
+    // kv64 θ arm around the 2^16 default: 2^16 kv64 records are 1 MB, the
+    // size the radix base case was fitted to (docs/TUNING.md).
+    for (int logt = 12; logt <= 18; ++logt) {
+      dovetail::sort_options o;
+      o.base_case = std::size_t{1} << logt;
+      register_dtsort_variant<dovetail::kv64>(cfg, "params", pp, d, o,
+                                              "t=2^" + std::to_string(logt),
+                                              "64", dovetail::key_of_kv64);
+    }
     dovetail::sort_options nooverflow;
     nooverflow.skip_leading_bits = false;
     register_dtsort_variant<dovetail::kv32>(cfg, "params", pp, d, nooverflow,

@@ -16,9 +16,13 @@
 //                   are already fully sorted and skip recursion (Sec 3.3).
 //   4. Dovetail   — per zone, interleave heavy buckets with the sorted
 //                   light bucket via DTMerge (Alg 3, Sec 3.4).
-// Base cases: no bits left, or n' <= θ (stable comparison sort, Sec 3.5).
+// Base cases: no bits left, or n' <= θ = 2^16 (Sec 3.5). The paper ends
+// with a comparison sort; here a subproblem of n' <= θ records finishes on
+// one worker with a sequential, cache-resident stable MSD radix sort
+// (radix_base), which keeps the comparison sort only as a fallback.
 //
-// Work O(n sqrt(log r)), span ~O(2^sqrt(log r)) per Thm 4.5; stable.
+// Work O(n sqrt(log r)), span ~O(2^sqrt(log r)) per Thm 4.5, with each
+// base case within the paper's O(n' log n'); stable.
 #pragma once
 
 #include <algorithm>
@@ -113,6 +117,69 @@ class dt_sorter {
       par::copy(std::span<const Rec>(cur), a_.subspan(lo, n));
   }
 
+  // Stable insertion sort of src[0, n) into dst[0, n); src may equal dst.
+  void insertion_into(const Rec* src, Rec* dst, std::size_t n) const {
+    for (std::size_t i = 0; i < n; ++i) {
+      const Rec x = src[i];
+      const std::uint64_t kx = keyof(x);
+      std::size_t j = i;
+      for (; j > 0 && kx < keyof(dst[j - 1]); --j) dst[j] = dst[j - 1];
+      dst[j] = x;
+    }
+  }
+
+  // Radix base case (Alg 2 line 2): a sequential stable MSD radix sort of
+  // [lo, hi) on this worker, ping-ponging between the segment's halves of
+  // A and T — no lease, no heap. The result lands in A. Each node skips
+  // the bits its keys share, counts one digit of min(8, bits,
+  // bit_width(n'/16)) bits into a stack histogram, and scatters into the
+  // other buffer; nodes of <= 16 records finish with insertion sort. A
+  // node whose pass count reaches log2 of its size falls back to
+  // comparison_base, so the base case stays within O(n' log n') work.
+  void radix_base(std::size_t lo, std::size_t hi, bool in_a, int passes) {
+    constexpr std::size_t kLeaf = 16;
+    constexpr int kMaxDigit = 8;
+    const std::size_t n = hi - lo;
+    const Rec* cur = (in_a ? a_ : t_).data() + lo;
+    if (n <= kLeaf) {
+      insertion_into(cur, a_.data() + lo, n);
+      return;
+    }
+    const std::uint64_t k0 = keyof(cur[0]);
+    std::uint64_t diff = 0;
+    for (std::size_t i = 1; i < n; ++i) diff |= keyof(cur[i]) ^ k0;
+    if (diff == 0) {  // all keys equal
+      if (!in_a) std::copy(cur, cur + n, a_.data() + lo);
+      return;
+    }
+    if (static_cast<std::uint64_t>(passes) >= floor_log2(n)) {
+      if (opt_.stats != nullptr)
+        opt_.stats->base_case_fallback_records.fetch_add(
+            n, std::memory_order_relaxed);
+      comparison_base(lo, hi, in_a);
+      return;
+    }
+    const int bits = bit_width_u64(diff);
+    const int digit = std::min({kMaxDigit, bits, bit_width_u64(n / kLeaf)});
+    const int shift = bits - digit;
+    const std::uint64_t dmask = low_mask(digit);
+    const std::size_t nb = std::size_t{1} << digit;
+    std::size_t pos[(std::size_t{1} << kMaxDigit) + 1] = {};
+    for (std::size_t i = 0; i < n; ++i)
+      ++pos[1 + ((keyof(cur[i]) >> shift) & dmask)];
+    for (std::size_t b = 1; b < nb; ++b) pos[b] += pos[b - 1];
+    Rec* out = (in_a ? t_ : a_).data() + lo;
+    for (std::size_t i = 0; i < n; ++i)
+      out[pos[(keyof(cur[i]) >> shift) & dmask]++] = cur[i];
+    // pos[b] is now the end of bucket b.
+    std::size_t start = 0;
+    for (std::size_t b = 0; b < nb; ++b) {
+      if (pos[b] > start)
+        radix_base(lo + start, lo + pos[b], !in_a, passes + 1);
+      start = pos[b];
+    }
+  }
+
   void sort_rec(std::size_t lo, std::size_t hi, int bits, bool in_a,
                 std::uint64_t seed, std::uint64_t depth) {
     const std::size_t n = hi - lo;
@@ -122,10 +189,10 @@ class dt_sorter {
         par::copy(std::span<const Rec>(t_.subspan(lo, n)), a_.subspan(lo, n));
       return;
     }
-    if (n <= theta_) {  // comparison-sort base case (Alg 2 line 2)
+    if (n <= theta_) {  // base case (Alg 2 line 2)
       if (opt_.stats != nullptr)
         opt_.stats->base_case_records.fetch_add(n, std::memory_order_relaxed);
-      comparison_base(lo, hi, in_a);
+      radix_base(lo, hi, in_a, /*passes=*/0);
       return;
     }
 
@@ -260,7 +327,7 @@ class dt_sorter {
   std::size_t log2n_ = 1;
   int gamma_ = 8;
   std::size_t stride_ = 8;
-  std::size_t theta_ = 1 << 14;
+  std::size_t theta_ = 1 << 16;
 };
 
 }  // namespace detail

@@ -28,8 +28,11 @@ struct sort_stats {
   std::atomic<std::uint64_t> distributed_records{0};
   // Records that entered a heavy bucket (sorted once, skip all recursion).
   std::atomic<std::uint64_t> heavy_records{0};
-  // Records finished by the comparison-sort base case (Alg 2 line 2).
+  // Records finished by the base case (Alg 2 line 2).
   std::atomic<std::uint64_t> base_case_records{0};
+  // Of those, records in base-case nodes that reached the pass cap and
+  // finished with the comparison-sort fallback (dovetail_sort.hpp).
+  std::atomic<std::uint64_t> base_case_fallback_records{0};
   // Records routed to overflow buckets (keys above the sampled range).
   std::atomic<std::uint64_t> overflow_records{0};
   // Records in zones that required dovetail merging.
@@ -194,6 +197,7 @@ struct sort_stats {
     distributed_records = 0;
     heavy_records = 0;
     base_case_records = 0;
+    base_case_fallback_records = 0;
     overflow_records = 0;
     merged_records = 0;
     sampled_keys = 0;
