@@ -137,6 +137,10 @@ scenario_result run_codec_cell(const run_config& rc,
       stats.codec_kind_id.load(std::memory_order_relaxed));
   res.stats["codec_bits"] = static_cast<double>(
       stats.codec_encoded_bits.load(std::memory_order_relaxed));
+  // Calls (warm-ups included) that took the encode-once route: 0 for every
+  // record shape here, all radix records.
+  res.stats["encode_once_calls"] = static_cast<double>(
+      stats.encode_once_calls.load(std::memory_order_relaxed));
   scenario_result sr;
   sr.times_s = std_times;
   res.stats["ms_StdStable"] = sr.median_s() * 1e3;

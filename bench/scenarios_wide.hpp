@@ -50,11 +50,10 @@ namespace dtb {
 using u128 = unsigned __int128;
 using pair64 = std::pair<std::uint64_t, std::uint64_t>;
 
-// Bench-local trivially-copyable 128-bit composite record — the pkv
-// precedent of scenarios_codec.hpp: a std::pair MEMBER would make the
-// record non-trivially-copyable under libstdc++ and push the whole sort
-// onto the encode-once path; real row layouts keep the words inline and
-// project the pair in the key functor.
+// Bench-local 128-bit composite record — the pkv precedent of
+// scenarios_codec.hpp: the words stay inline and the key functor projects
+// the pair. A record with a std::pair MEMBER (tkv<pair64>) is a radix
+// record too and sorts on the same fused path.
 struct wkv128 {
   std::uint64_t hi;
   std::uint64_t lo;
@@ -182,6 +181,9 @@ scenario_result run_wide_cell(const run_config& rc,
       stats.refine_rounds.load(std::memory_order_relaxed));
   res.stats["wide_segments"] = static_cast<double>(
       stats.wide_segments.load(std::memory_order_relaxed));
+  // Calls (warm-ups included) that took the encode-once route.
+  res.stats["encode_once_calls"] = static_cast<double>(
+      stats.encode_once_calls.load(std::memory_order_relaxed));
   scenario_result sr;
   sr.times_s = std_times;
   res.stats["ms_StdStable"] = sr.median_s() * 1e3;
@@ -237,6 +239,9 @@ inline scenario_result run_wide_string_cell(
       stats.refine_rounds.load(std::memory_order_relaxed));
   res.stats["wide_segments"] = static_cast<double>(
       stats.wide_segments.load(std::memory_order_relaxed));
+  // Calls (warm-ups included) that took the encode-once route.
+  res.stats["encode_once_calls"] = static_cast<double>(
+      stats.encode_once_calls.load(std::memory_order_relaxed));
   scenario_result sr;
   sr.times_s = std_times;
   res.stats["ms_StdStable"] = sr.median_s() * 1e3;

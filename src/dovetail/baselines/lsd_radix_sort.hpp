@@ -35,7 +35,7 @@ struct lsd_options {
 template <typename Rec, typename KeyFn>
 void lsd_radix_sort(std::span<Rec> data, const KeyFn& key,
                     const lsd_options& opt = {}) {
-  static_assert(std::is_trivially_copyable_v<Rec>);
+  static_assert(radix_record<Rec>);
   const std::size_t n = data.size();
   if (n <= 1) return;
   auto keyof = [&](const Rec& r) {

@@ -42,7 +42,7 @@ struct sample_sort_options {
 template <typename Rec, typename Comp>
 void sample_sort(std::span<Rec> data, const Comp& comp,
                  const sample_sort_options& opt = {}) {
-  static_assert(std::is_trivially_copyable_v<Rec>);
+  static_assert(radix_record<Rec>);
   const std::size_t n = data.size();
   auto terminal = [&](std::span<Rec> s, std::span<Rec> scratch) {
     if (s.size() <= 1) return;

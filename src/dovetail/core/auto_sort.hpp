@@ -38,15 +38,16 @@
 // Typed keys (key_codec.hpp): every entry point accepts any codec-covered
 // key type — signed integers, float/double, pair/tuple composites, or a
 // user key_codec specialization — not just unsigned integers. Strategy:
-//   * cheap codecs (all built-ins) on trivially copyable records FUSE the
+//   * cheap codecs (all built-ins) on radix records (util/record.hpp:
+//     plain structs, std::pair / std::tuple members included) FUSE the
 //     encode into the key function, so every kernel, the sketch and the
 //     dispatch operate on encoded keys with no extra pass and no extra
 //     memory — records are scattered as-is and never decoded;
-//   * expensive codecs, and records that are not trivially copyable (e.g.
-//     a std::span<std::pair<...>> under libstdc++), ENCODE ONCE into a
-//     workspace-leased (encoded key, index) array, sort that through the
-//     same dispatcher, and apply the resulting stable permutation back to
-//     the records with one gather pass.
+//   * expensive codecs, and records that are not radix records (e.g. a
+//     std::string member), ENCODE ONCE into a workspace-leased (encoded
+//     key, index) array, sort that through the same dispatcher, and apply
+//     the resulting stable permutation back to the records with one
+//     gather pass (sort_stats::encode_once_calls counts these calls).
 //   * WIDE keys — multi-word codecs (pair<u64, u64>, __int128, strings,
 //     >64-bit composites; key_codec.hpp) — route through the segmented-
 //     MSD refine driver of core/wide_sort.hpp: sort by word 0 through
@@ -549,8 +550,9 @@ std::pair<std::uint64_t, std::uint64_t> exact_key_range(
 template <typename Rec, typename KeyFn>
 sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
                           const auto_sort_options& opt) {
-  static_assert(std::is_trivially_copyable_v<Rec>,
-                "dovetail::sort requires trivially copyable records");
+  static_assert(radix_record<Rec>,
+                "dovetail::sort requires records satisfying radix_record "
+                "(util/record.hpp)");
   sort_stats* st = opt.stats;
   const std::size_t n = data.size();
 
@@ -736,6 +738,11 @@ inline void note_entry(sort_stats* st, sort_entry entry, codec_kind kind,
                                std::memory_order_relaxed);
 }
 
+inline void note_encode_once(sort_stats* st) {
+  if (st != nullptr)
+    st->encode_once_calls.fetch_add(1, std::memory_order_relaxed);
+}
+
 // (encoded key, source index) pair records for the encode-once path. The
 // narrow pair is used whenever the encoded key and the index both fit 32
 // bits — half the bytes per scatter pass.
@@ -785,15 +792,14 @@ sort_kernel ranked_permutation(std::size_t n, int encoded_bits,
   return ranked_permutation_impl<enc_idx64>(n, enc_of, inner, ws, emit);
 }
 
-// n elements of T, backed by a workspace lease when T is trivially
-// copyable (warm calls: zero allocations) and by a plain vector otherwise
-// (T must then be default-constructible and copy-assignable).
+// n elements of T, backed by a workspace lease when T is a radix_record
+// (warm calls: zero allocations) and by a plain vector otherwise (T must
+// then be default-constructible and copy-assignable).
 template <typename T>
 class scratch_array {
  public:
   scratch_array(std::size_t n, sort_workspace& ws, sort_stats* stats) {
-    if constexpr (std::is_trivially_copyable_v<T> &&
-                  alignof(T) <= detail::kSlabAlign) {
+    if constexpr (radix_record<T> && alignof(T) <= detail::kSlabAlign) {
       lease_ = ws.acquire(n * sizeof(T), stats);
       span_ = lease_.template carve<T>(n);
     } else {
@@ -809,11 +815,11 @@ class scratch_array {
   std::span<T> span_;
 };
 
-// Copy (or move, for non-trivially-copyable types) scratch back into the
-// caller's array.
+// Copy (or move, for types that are not radix records) scratch back into
+// the caller's array.
 template <typename T>
 void write_back(std::span<T> from, std::span<T> to) {
-  if constexpr (std::is_trivially_copyable_v<T>) {
+  if constexpr (radix_record<T>) {
     par::copy(std::span<const T>(from.data(), from.size()), to);
   } else {
     par::parallel_for(0, from.size(),
@@ -848,11 +854,12 @@ std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
 // the NaN policy in key_codec.hpp), pair/tuple composites of any packed
 // width, 128-bit integers, std::string/string_view (full lexicographic
 // order via the wide refine driver), or a user key_codec specialization
-// (single- or multi-word). Cheap codecs on trivially
-// copyable records fuse the encoding into every key access (no extra pass,
-// no extra memory); expensive codecs and non-trivially-copyable records
-// (e.g. std::pair elements under libstdc++) take the encode-once path:
-// sort (encoded key, index) pairs, then gather the records once.
+// (single- or multi-word). Cheap codecs on radix records (util/record.hpp;
+// std::pair / std::tuple members included) fuse the encoding into every
+// key access (no extra pass, no extra memory); expensive codecs and other
+// records (e.g. a std::string member) take the encode-once path: sort
+// (encoded key, index) pairs, then gather the records once, bumping
+// sort_stats::encode_once_calls.
 //
 // Guarantees:
 //   * Stable, whatever kernel runs (every kernel is stable; the dispatcher
@@ -870,7 +877,9 @@ std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
 // a confirmed-sorted input on the fused path (no scratch touched at all).
 //
 // Throws std::invalid_argument if opt.policy forces the counting kernel on
-// an input whose exact key range reaches 2^20 (see policy::always).
+// an input whose exact key range reaches 2^20 (see policy::always), or
+// forces the in-place kernel on payload-carrying records without
+// stability::relaxed.
 template <typename Rec, typename KeyFn>
 sort_kernel sort(std::span<Rec> data, const KeyFn& key,
                  const auto_sort_options& opt = {}) {
@@ -890,7 +899,7 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
     using codec = typename traits::codec;
     detail::note_entry(opt.stats, sort_entry::sort, traits::kind,
                        traits::encoded_bits);
-    if constexpr (std::is_trivially_copyable_v<Rec> && traits::cheap) {
+    if constexpr (radix_record<Rec> && traits::cheap) {
       // Fused: kernels, sketch and dispatch all see encoded keys; records
       // are scattered as-is and never decoded. Identity codecs (unsigned
       // keys) skip even the encode wrapper.
@@ -906,8 +915,9 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
       }
     } else {
       // Encode once, sort (encoded, index) pairs, gather the records —
-      // also the route for non-trivially-copyable records regardless of
-      // key type (the radix kernels cannot scatter them).
+      // also the route for records that are not radix records, whatever
+      // the key type (the radix kernels cannot scatter them).
+      detail::note_encode_once(opt.stats);
       const std::size_t n = data.size();
       sort_workspace local_ws;
       sort_workspace& ws =
@@ -949,7 +959,7 @@ sort_kernel sort(std::span<K> data, const auto_sort_options& opt = {}) {
 //
 // Returns the kernel that sorted the pairs. Stable: equal keys keep their
 // input order in both arrays. Workspace/stats contract as dovetail::sort;
-// trivially copyable K/V lease all scratch (warm calls allocate nothing),
+// K/V that are radix records lease all scratch (warm calls allocate nothing),
 // other types must be default-constructible + copy-assignable and use
 // per-call vectors.
 //

@@ -58,8 +58,9 @@ class dt_sorter {
   using key_type = std::decay_t<std::invoke_result_t<KeyFn, const Rec&>>;
   static_assert(std::is_unsigned_v<key_type>,
                 "dovetail_sort requires an unsigned integer key");
-  static_assert(std::is_trivially_copyable_v<Rec>,
-                "dovetail_sort requires trivially copyable records");
+  static_assert(radix_record<Rec>,
+                "dovetail_sort requires records satisfying radix_record "
+                "(util/record.hpp)");
 
   dt_sorter(std::span<Rec> data, const KeyFn& key, const sort_options& opt)
       : a_(data), key_(key), opt_(opt) {
@@ -385,9 +386,9 @@ void dovetail_sort(std::span<Rec> data, const KeyFn& key,
 }
 
 // Convenience overload for spans of plain keys — unsigned, or any other
-// codec-covered trivially-copyable type (signed integers, float/double).
+// codec-covered radix_record type (signed integers, float/double, pairs).
 template <typename K>
-  requires(sortable_key<K> && std::is_trivially_copyable_v<K>)
+  requires(sortable_key<K> && radix_record<K>)
 void dovetail_sort(std::span<K> data, const sort_options& opt = {}) {
   dovetail_sort(data, [](const K& k) { return k; }, opt);
 }

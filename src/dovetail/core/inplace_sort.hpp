@@ -20,7 +20,7 @@
 //                    array, which always has room: after i+1 reads at most
 //                    floor((i+1)/blk) blocks have been flushed.
 //   3. permute     — American-flag cycle-chasing at BLOCK granularity: one
-//                    block in hand, each memcpy moves a whole block to the
+//                    block in hand, each step copies a whole block to the
 //                    first unfinalized slot of its bucket (cache-line bursts
 //                    instead of record-at-a-time swaps — the
 //                    constant-factor win of IPS2Ra/RegionsSort).
@@ -44,7 +44,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <type_traits>
 
@@ -55,6 +54,7 @@
 #include "dovetail/parallel/parallel_for.hpp"
 #include "dovetail/parallel/primitives.hpp"
 #include "dovetail/util/bits.hpp"
+#include "dovetail/util/record.hpp"
 #include "dovetail/util/simd.hpp"
 
 namespace dovetail {
@@ -70,7 +70,7 @@ struct inplace_sort_options {
   // sorting network when the records are raw keys).
   std::size_t base_case = std::size_t{1} << 12;
   // Staging block per bucket. Also the permutation granularity: larger
-  // blocks mean fewer, longer memcpy bursts but more scratch (B * block).
+  // blocks mean fewer, longer copy bursts but more scratch (B * block).
   std::size_t block_bytes = 2048;
   sort_workspace* workspace = nullptr;  // reuse across sorts; may be null
   sort_stats* stats = nullptr;          // engine counters; may be null
@@ -141,7 +141,7 @@ void inplace_blocked_permute(std::span<Rec> a, const BucketFn& bucket_of,
     const std::size_t d = bucket_of(a[i]);
     bufs[d * blk + fill[d]] = a[i];
     if (++fill[d] == blk) {
-      std::memcpy(a.data() + wb * blk, bufs.data() + d * blk, bytes);
+      std::copy_n(bufs.data() + d * blk, blk, a.data() + wb * blk);
       bb[wb] = static_cast<std::uint16_t>(d);
       ++wb;
       fill[d] = 0;
@@ -164,17 +164,17 @@ void inplace_blocked_permute(std::span<Rec> a, const BucketFn& bucket_of,
         ++cur[z];
         continue;
       }
-      std::memcpy(hand0, a.data() + cur[z] * blk, bytes);
+      std::copy_n(a.data() + cur[z] * blk, blk, hand0);
       while (d != z) {
         const std::size_t s = cur[d]++;
-        std::memcpy(hand1, a.data() + s * blk, bytes);
-        std::memcpy(a.data() + s * blk, hand0, bytes);
+        std::copy_n(a.data() + s * blk, blk, hand1);
+        std::copy_n(hand0, blk, a.data() + s * blk);
         const std::size_t db = bb[s];
         bb[s] = static_cast<std::uint16_t>(d);
         d = db;
         std::swap(hand0, hand1);
       }
-      std::memcpy(a.data() + cur[z] * blk, hand0, bytes);
+      std::copy_n(hand0, blk, a.data() + cur[z] * blk);
       bb[cur[z]] = static_cast<std::uint16_t>(z);
       ++cur[z];
     }
@@ -191,7 +191,8 @@ void inplace_blocked_permute(std::span<Rec> a, const BucketFn& bucket_of,
     if (nfull == 0) continue;
     const std::size_t src = cblk[zz] * blk;
     if (start[zz] != src)
-      std::memmove(a.data() + start[zz], a.data() + src, nfull * bytes);
+      std::copy_backward(a.data() + src, a.data() + src + nfull * blk,
+                         a.data() + start[zz] + nfull * blk);
   }
 
   // 5. residues: the partial staging blocks complete each bucket's region.
@@ -199,8 +200,8 @@ void inplace_blocked_permute(std::span<Rec> a, const BucketFn& bucket_of,
     const std::size_t nfull = cblk[z + 1] - cblk[z];
     assert(fill[z] == counts[z] - nfull * blk);
     if (fill[z] != 0)
-      std::memcpy(a.data() + start[z] + nfull * blk, bufs.data() + z * blk,
-                  fill[z] * sizeof(Rec));
+      std::copy_n(bufs.data() + z * blk, fill[z],
+                  a.data() + start[z] + nfull * blk);
   }
   (void)counts;
 }
@@ -303,7 +304,7 @@ void inplace_rec(std::span<Rec> a, const KeyFn& key, int bits,
 template <typename Rec, typename KeyFn>
 void inplace_sort(std::span<Rec> data, const KeyFn& key,
                   const inplace_sort_options& opt = {}) {
-  static_assert(std::is_trivially_copyable_v<Rec>);
+  static_assert(radix_record<Rec>);
   const std::size_t n = data.size();
   if (n <= 1) return;
   inplace_sort_options o = opt;

@@ -760,7 +760,7 @@ void select_by_rank(std::span<Rec> data, const KeyFn& key,
   } else {
     using traits = codec_traits<K>;
     using codec = typename traits::codec;
-    if constexpr (std::is_trivially_copyable_v<Rec> && traits::cheap) {
+    if constexpr (radix_record<Rec> && traits::cheap) {
       // Fused: the selection passes scatter the records as-is, encoding
       // per key access — no extra pass, no extra memory.
       if constexpr (traits::identity) {
@@ -780,6 +780,7 @@ void select_by_rank(std::span<Rec> data, const KeyFn& key,
       }
     } else {
       // Encode once, select the (encoded, index) pairs, gather once.
+      note_encode_once(opt.stats);
       scratch_array<Rec> tmp(n, ws, opt.stats);
       const std::span<Rec> t = tmp.get();
       selected_permutation(

@@ -99,6 +99,15 @@ struct sort_stats {
   std::atomic<std::uint64_t> entry_point{0};
   std::atomic<std::uint64_t> codec_kind_id{0};
   std::atomic<std::uint64_t> codec_encoded_bits{0};
+  // Cumulative, unlike the snapshots around it: calls that took the
+  // encode-once route — sort (encoded key, index) records, then gather the
+  // records — instead of scattering the records themselves. Bumped by
+  // dovetail::sort (narrow and wide keys) and by the order-statistics
+  // queries on narrow keys, once per call, for an expensive codec or a
+  // record that is not a radix_record (util/record.hpp), e.g. one with a
+  // std::string member. sort_by_key and rank always run on (encoded key,
+  // index) records and do not count here.
+  std::atomic<std::uint64_t> encode_once_calls{0};
   // Wide-key refine driver (wide_sort.hpp) snapshots, last-write-wins like
   // the codec fields: refinement rounds run beyond the word-0 pass (the
   // final comparison tie-break round of a non-exhaustive codec included)
@@ -222,6 +231,7 @@ struct sort_stats {
     entry_point = 0;
     codec_kind_id = 0;
     codec_encoded_bits = 0;
+    encode_once_calls = 0;
     refine_rounds = 0;
     wide_segments = 0;
     wide_continuation_rounds = 0;

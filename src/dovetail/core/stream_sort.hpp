@@ -166,18 +166,10 @@ class stream_sorter {
     workspace_pool& p = pool();
     workspace_pool::handle ws = p.checkout();
     // Merge scratch: an n-record slab from the leased workspace when Rec
-    // is trivially copyable (warm after the first stream), else a plain
-    // vector (e.g. std::string records).
-    std::vector<Rec> scratch_vec;
-    std::span<Rec> scratch;
-    sort_workspace::lease scratch_lease;
-    if constexpr (std::is_trivially_copyable_v<Rec> &&
-                  alignof(Rec) <= detail::kSlabAlign) {
-      scratch_lease = ws->acquire_array<Rec>(n, scratch, opt_.stats);
-    } else {
-      scratch_vec.resize(n);
-      scratch = std::span<Rec>(scratch_vec);
-    }
+    // is a radix_record (warm after the first stream), else a plain vector
+    // (e.g. std::string records).
+    detail::scratch_array<Rec> scratch_buf(n, *ws, opt_.stats);
+    const std::span<Rec> scratch = scratch_buf.get();
 
     const detail::codec_order_less<KeyFn> comp{key_};
     std::span<Rec> src(out);
@@ -199,14 +191,14 @@ class stream_sorter {
       }
       if (r + 2 == bounds.size()) {  // odd run count: carry the tail over
         const std::size_t lo = bounds[r], hi = bounds[r + 1];
-        copy_records(src.subspan(lo, hi - lo), dst.subspan(lo, hi - lo));
+        detail::write_back(src.subspan(lo, hi - lo), dst.subspan(lo, hi - lo));
         next.push_back(hi);
       }
       bounds = std::move(next);
       std::swap(src, dst);
     }
     if (src.data() != out.data())
-      copy_records(src, std::span<Rec>(out));
+      detail::write_back(src, std::span<Rec>(out));
     if (opt_.stats != nullptr)
       opt_.stats->stream_merge_records.fetch_add(merged,
                                                  std::memory_order_relaxed);
@@ -258,15 +250,6 @@ class stream_sorter {
           merged.size(), std::memory_order_relaxed);
     a = std::move(merged);
     runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(best) + 1);
-  }
-
-  static void copy_records(std::span<Rec> from, std::span<Rec> to) {
-    if constexpr (std::is_trivially_copyable_v<Rec>) {
-      par::copy(std::span<const Rec>(from.data(), from.size()), to);
-    } else {
-      par::parallel_for(0, from.size(),
-                        [&](std::size_t i) { to[i] = std::move(from[i]); });
-    }
   }
 
   stream_options opt_{};

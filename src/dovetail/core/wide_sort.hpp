@@ -81,9 +81,8 @@ namespace dovetail {
 
 namespace detail {
 
-// A half-open segment [lo, hi) of the array being refined. A plain struct
-// (not std::pair, which libstdc++ makes non-trivially-copyable) so the
-// segment tables can live in workspace slabs.
+// A half-open segment [lo, hi) of the array being refined; the segment
+// tables live in workspace slabs.
 struct wide_seg {
   std::size_t lo;
   std::size_t hi;
@@ -101,7 +100,8 @@ void stable_segment_sort(std::span<Rec> a, const Less& less) {
   if (a.size() <= 32) {
     // Tiniest segments first try the branchless fixed-comparator network
     // (util/simd.hpp): same stable permutation as the insertion sort,
-    // byte-identical output, no data-dependent branches.
+    // byte-identical output, no data-dependent branches. The network
+    // memcpy's records, hence the strict trivially-copyable gate.
     if constexpr (std::is_trivially_copyable_v<Rec>) {
       if (simd::stable_network_sort(a, less)) return;
     }
@@ -695,7 +695,7 @@ sort_kernel refine_through_front_door(std::span<Rec> data,
 // cache-resident array — the true key is touched again only by a prefix
 // codec's tie-break and by the caller's final gather. emit(pos, src)
 // receives the permutation. The shared machinery behind the wide
-// sort_by_key / rank / non-trivially-copyable sort paths.
+// sort_by_key / rank / encode-once sort paths.
 template <typename K, typename KeyAt, typename Emit>
 sort_kernel wide_ranked_permutation(std::size_t n, const KeyAt& key_at,
                                     const auto_sort_options& opt,
@@ -818,8 +818,7 @@ sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
   sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
   auto_sort_options inner = opt;
   inner.workspace = &ws;
-  if constexpr (std::is_trivially_copyable_v<Rec> && WT::cheap &&
-                WT::offset_encodable) {
+  if constexpr (radix_record<Rec> && WT::cheap && WT::offset_encodable) {
     // Fused, offset-capable (std::string_view records): there are no
     // materialized words to refresh, so the continuation offset lives in
     // one shared variable read by every word access. The driver writes it
@@ -880,7 +879,7 @@ sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
     }
     return refine_through_front_door(data, WT::word_count, WT::exhaustive,
                                      word_of, tie, inner, ws);
-  } else if constexpr (std::is_trivially_copyable_v<Rec> && WT::cheap) {
+  } else if constexpr (radix_record<Rec> && WT::cheap) {
     // Fused: records are scattered as-is, each word pass re-derives its
     // radix key from the record — no extra memory beyond the front door's
     // own scratch.
@@ -900,11 +899,12 @@ sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
                                      word_of, tie, inner, ws);
   } else {
     // Encode-once shape: sort (encoded words, index) records, then gather
-    // once — the only route for non-trivially-copyable records
-    // (std::string and friends). The gather MOVES each record (emit is a
-    // permutation, so every source is consumed exactly once, and
-    // write_back overwrites every slot afterwards) — a string never pays
-    // a heap copy for being sorted.
+    // once — the only route for records that are not radix records
+    // (std::string members and friends). The gather MOVES each record
+    // (emit is a permutation, so every source is consumed exactly once,
+    // and write_back overwrites every slot afterwards) — a string never
+    // pays a heap copy for being sorted.
+    note_encode_once(opt.stats);
     const std::size_t n = data.size();
     scratch_array<Rec> tmp(n, ws, opt.stats);
     const std::span<Rec> t = tmp.get();

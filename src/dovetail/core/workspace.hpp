@@ -45,6 +45,7 @@
 #include "dovetail/core/sort_stats.hpp"
 #include "dovetail/parallel/scheduler.hpp"
 #include "dovetail/util/bits.hpp"
+#include "dovetail/util/record.hpp"
 
 namespace dovetail {
 
@@ -105,7 +106,7 @@ class sort_workspace {
     // Next `count` elements of T, suitably aligned, UNinitialized.
     template <typename T>
     std::span<T> carve(std::size_t count) {
-      static_assert(std::is_trivially_copyable_v<T>);
+      static_assert(radix_record<T>);
       static_assert(alignof(T) <= detail::kSlabAlign);
       const std::size_t off = (used_ + alignof(T) - 1) & ~(alignof(T) - 1);
       assert(off + count * sizeof(T) <= capacity_ && "lease overcommitted");
@@ -186,7 +187,7 @@ class sort_workspace {
   // NOT thread-safe — one in-flight sort per workspace.
   template <typename Rec>
   std::span<Rec> record_buffer(std::size_t n, sort_stats* stats = nullptr) {
-    static_assert(std::is_trivially_copyable_v<Rec>);
+    static_assert(radix_record<Rec>);
     static_assert(alignof(Rec) <= detail::kSlabAlign);
     const std::size_t need = n * sizeof(Rec);
     if (need > arena_capacity_) {

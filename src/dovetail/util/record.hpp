@@ -5,8 +5,28 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 
 namespace dovetail {
+
+// Records the radix kernels may scatter: they live in workspace-leased
+// storage that no constructor ran on and move by assignment, never by
+// memcpy. A trivial copy constructor and destructor make the type
+// implicit-lifetime, so that storage may hold it. Beyond the trivially
+// copyable types this admits std::pair / std::tuple members under
+// libstdc++, whose user-provided operator= copies member-wise. It still
+// excludes pair<const K, V> (not assignable), std::string members, and
+// pairs / tuples holding a reference: their operator= writes through the
+// reference rather than copying bytes, and a reference member deletes the
+// default constructor, which is what rules them out here. Code that
+// memcpy's records keeps the strict std::is_trivially_copyable gate
+// (simd::stable_network_sort).
+template <typename Rec>
+concept radix_record =
+    std::is_trivially_copyable_v<Rec> ||
+    (std::is_trivially_copy_constructible_v<Rec> &&
+     std::is_trivially_destructible_v<Rec> &&
+     std::is_copy_assignable_v<Rec> && std::is_default_constructible_v<Rec>);
 
 struct kv32 {
   std::uint32_t key;

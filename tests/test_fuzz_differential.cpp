@@ -11,19 +11,24 @@
 // and its tie-break ablation both match the reference. The streaming arm
 // (FuzzDifferentialStream) feeds the SAME mixed inputs through
 // stream_sorter under a random chunking plan and demands byte-identity
-// with both std::stable_sort and the one-shot front door.
+// with both std::stable_sort and the one-shot front door. The pair-record
+// arm (FuzzDifferentialPairRecords) runs std::pair / std::tuple-member
+// records through every entry point that moves them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
 #include "dovetail/core/dovetail_sort.hpp"
 #include "dovetail/core/order_stats.hpp"
+#include "dovetail/core/sort_service.hpp"
 #include "dovetail/core/stream_sort.hpp"
 #include "dovetail/parallel/random.hpp"
 #include "dovetail/util/record.hpp"
@@ -489,4 +494,241 @@ TEST_P(FuzzDifferentialInplace, PureKeysByteIdenticalToReference) {
   ASSERT_EQ(dovetail::sort(std::span<std::uint32_t>(keys), opt),
             sort_kernel::inplace);
   ASSERT_EQ(keys, ref) << "seed=" << seed;
+}
+
+// --- pair/tuple-record arm -------------------------------------------------
+// Records with std::pair / std::tuple members are radix records
+// (util/record.hpp) but not trivially copyable under libstdc++, so they
+// scatter on the fused radix path rather than the encode-once route. Each
+// seed runs the same mixed inputs through every public entry point that
+// moves such records and demands byte-identity with std::stable_sort, and
+// that the encode-once route never ran.
+
+namespace {
+
+struct pair_member_rec {
+  std::pair<std::uint32_t, std::uint32_t> kv;  // (key, input index)
+  bool operator==(const pair_member_rec&) const = default;
+};
+struct pair_member_key {
+  std::uint32_t operator()(const pair_member_rec& r) const {
+    return r.kv.first;
+  }
+};
+
+struct tuple_member_rec {
+  std::tuple<std::uint32_t, std::uint64_t> kv;  // (key, input index)
+  bool operator==(const tuple_member_rec&) const = default;
+};
+struct tuple_member_key {
+  std::uint32_t operator()(const tuple_member_rec& r) const {
+    return std::get<0>(r.kv);
+  }
+};
+
+static_assert(radix_record<pair_member_rec> &&
+              !std::is_trivially_copyable_v<pair_member_rec>);
+static_assert(radix_record<tuple_member_rec> &&
+              !std::is_trivially_copyable_v<tuple_member_rec>);
+
+template <typename Rec, typename KeyFn>
+std::vector<Rec> stable_by(std::vector<Rec> v, const KeyFn& key) {
+  std::stable_sort(v.begin(), v.end(), [&](const Rec& a, const Rec& b) {
+    return key(a) < key(b);
+  });
+  return v;
+}
+
+// Index of the first record where a and b differ (a.size() if none).
+template <typename Rec>
+std::size_t first_mismatch(std::span<const Rec> a, std::span<const Rec> b) {
+  std::size_t i = 0;
+  while (i < a.size() && a[i] == b[i]) ++i;
+  return i;
+}
+
+template <typename Rec, typename KeyFn, typename Make>
+void pair_record_arm(std::uint64_t seed, const Make& make) {
+  const auto input = build_mixed_input(seed);
+  const std::size_t n = input.size();
+  std::vector<Rec> recs(n);
+  for (std::size_t i = 0; i < n; ++i) recs[i] = make(input[i]);
+  const KeyFn key{};
+  const auto ref = stable_by(recs, key);
+  sort_stats st;
+  sort_workspace ws;
+  const auto options = [&](const dispatch_policy& p) {
+    auto_sort_options o;
+    o.policy = p;
+    o.workspace = &ws;
+    o.stats = &st;
+    return o;
+  };
+  const auto expect_ref = [&](const std::vector<Rec>& got,
+                              const std::vector<Rec>& want, const char* what) {
+    ASSERT_EQ(got.size(), want.size()) << what << " seed=" << seed;
+    ASSERT_EQ(first_mismatch<Rec>(got, want), n)
+        << what << " seed=" << seed;
+  };
+
+  // dovetail::sort: auto dispatch, then each stable kernel pinned.
+  {
+    auto v = recs;
+    dovetail::sort(std::span<Rec>(v), key, options(policy::automatic()));
+    expect_ref(v, ref, "sort/auto");
+  }
+  for (const sort_kernel k : {sort_kernel::dtsort, sort_kernel::lsd,
+                              sort_kernel::run_merge, sort_kernel::std_sort}) {
+    auto v = recs;
+    ASSERT_EQ(dovetail::sort(std::span<Rec>(v), key,
+                             options(policy::always(k))),
+              k);
+    expect_ref(v, ref, kernel_name(k));
+  }
+  {
+    // The pinned counting kernel needs a key range below 2^20.
+    const auto low = [&key](const Rec& r) {
+      return static_cast<std::uint32_t>(key(r) & 0xFFFFu);
+    };
+    auto v = recs;
+    dovetail::sort(std::span<Rec>(v), low,
+                   options(policy::always(sort_kernel::counting)));
+    expect_ref(v, stable_by(recs, low), "sort/counting");
+  }
+
+  // rank: the stable permutation, records untouched.
+  {
+    const auto perm = dovetail::rank(std::span<const Rec>(recs), key,
+                                     options(policy::automatic()));
+    ASSERT_EQ(perm.size(), n);
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_TRUE(recs[perm[i]] == ref[i]) << "rank seed=" << seed;
+  }
+
+  // top_k and nth_element on the fused selection path.
+  {
+    const std::size_t k = 1 + par::rand_range(seed, 41, n);
+    auto v = recs;
+    const auto out = top_k(std::span<Rec>(v), k, key, rank_side::smallest,
+                           options(policy::automatic()));
+    ASSERT_EQ(out.size(), k);
+    for (std::size_t i = 0; i < k; ++i)
+      ASSERT_TRUE(out[i] == ref[i]) << "top_k seed=" << seed << " i=" << i;
+    const std::size_t nth = par::rand_range(seed, 42, n);
+    auto w = recs;
+    const Rec& r = dovetail::nth_element(std::span<Rec>(w), nth, key,
+                                         options(policy::automatic()));
+    ASSERT_TRUE(r == ref[nth]) << "nth_element seed=" << seed;
+  }
+
+  // stream_sorter under a random chunking plan.
+  {
+    stream_options so;
+    so.stats = &st;
+    stream_sorter<Rec, KeyFn> s(so, key);
+    const std::size_t max_chunk = 1 + par::rand_range(seed, 43, 9000);
+    std::size_t off = 0;
+    for (std::size_t i = 0; off < n; ++i) {
+      const std::size_t c = std::min(
+          n - off, static_cast<std::size_t>(
+                       1 + par::rand_range(seed, 500000 + i, max_chunk)));
+      s.push(std::span<const Rec>(recs.data() + off, c));
+      off += c;
+    }
+    expect_ref(s.finish(), ref, "stream_sorter");
+  }
+
+  // sort_batch: three requests of different sizes, each its own stable
+  // reference.
+  {
+    auto v = recs;
+    const std::size_t cut1 = n / 5;
+    const std::size_t cut2 = n / 2;
+    std::vector<sort_request<Rec, KeyFn>> reqs(3);
+    reqs[0].data = std::span<Rec>(v).subspan(0, cut1);
+    reqs[1].data = std::span<Rec>(v).subspan(cut1, cut2 - cut1);
+    reqs[2].data = std::span<Rec>(v).subspan(cut2);
+    service_options so;
+    so.stats = &st;
+    sort_batch(reqs, so);
+    std::vector<Rec> want;
+    for (const auto& [lo, hi] : {std::pair{std::size_t{0}, cut1},
+                                 std::pair{cut1, cut2},
+                                 std::pair{cut2, n}}) {
+      auto part = stable_by(
+          std::vector<Rec>(recs.begin() + static_cast<std::ptrdiff_t>(lo),
+                           recs.begin() + static_cast<std::ptrdiff_t>(hi)),
+          key);
+      want.insert(want.end(), part.begin(), part.end());
+    }
+    expect_ref(v, want, "sort_batch");
+  }
+
+  EXPECT_EQ(st.encode_once_calls.load(), 0u) << "seed=" << seed;
+}
+
+}  // namespace
+
+class FuzzDifferentialPairRecords : public ::testing::TestWithParam<int> {};
+INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialPairRecords,
+                         ::testing::Range(0, 8));
+
+TEST_P(FuzzDifferentialPairRecords, PairMemberRecordsMatchStableSort) {
+  pair_record_arm<pair_member_rec, pair_member_key>(
+      static_cast<std::uint64_t>(13000 + GetParam()), [](const kv32& r) {
+        return pair_member_rec{{r.key, r.value}};
+      });
+}
+
+TEST_P(FuzzDifferentialPairRecords, TupleMemberRecordsMatchStableSort) {
+  pair_record_arm<tuple_member_rec, tuple_member_key>(
+      static_cast<std::uint64_t>(13100 + GetParam()), [](const kv32& r) {
+        return tuple_member_rec{{r.key, std::uint64_t{r.value}}};
+      });
+}
+
+TEST_P(FuzzDifferentialPairRecords, SortByKeyWithPairValues) {
+  const auto seed = static_cast<std::uint64_t>(13200 + GetParam());
+  const auto input = build_mixed_input(seed);
+  const std::size_t n = input.size();
+  using V = std::pair<std::uint32_t, std::uint32_t>;
+  std::vector<std::uint32_t> keys(n);
+  std::vector<V> values(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    keys[i] = input[i].key;
+    values[i] = {input[i].key, input[i].value};
+  }
+  const auto ref = stable_by(values, [](const V& v) { return v.first; });
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  sort_by_key(std::span<std::uint32_t>(keys), std::span<V>(values), opt);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(keys[i], ref[i].first) << "seed=" << seed << " i=" << i;
+    ASSERT_EQ(values[i], ref[i]) << "seed=" << seed << " i=" << i;
+  }
+}
+
+TEST_P(FuzzDifferentialPairRecords, WidePairKeyRecords) {
+  // tkv<pair<u64, u64>>: a two-word key through the refine driver's fused
+  // branch. Few distinct high words per chunk leave large equal-prefix
+  // segments for the refine rounds.
+  const auto seed = static_cast<std::uint64_t>(13300 + GetParam());
+  const auto input = build_mixed_input(seed);
+  using W = std::pair<std::uint64_t, std::uint64_t>;
+  std::vector<tkv<W>> v(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i)
+    v[i] = {{input[i].key % 7, par::rand_at(seed, i) & 0xFFFFF},
+            input[i].value};
+  const auto key = [](const tkv<W>& r) -> const W& { return r.key; };
+  const auto ref = stable_by(v, key);
+  sort_stats st;
+  sort_workspace ws;
+  auto_sort_options opt;
+  opt.workspace = &ws;
+  opt.stats = &st;
+  if (seed % 2 == 1) opt.policy.wide_segment_base_case = 256;
+  dovetail::sort(std::span<tkv<W>>(v), key, opt);
+  ASSERT_EQ(first_mismatch<tkv<W>>(v, ref), v.size()) << "seed=" << seed;
+  EXPECT_EQ(st.encode_once_calls.load(), 0u) << "seed=" << seed;
 }

@@ -10,6 +10,9 @@
 //   * the stability contract: the unstable kernel is never auto-chosen for
 //     payload-carrying records unless the caller signs stability::relaxed,
 //     and policy::always(inplace) on such records throws without it;
+//   * radix records that are not trivially copyable (std::pair members)
+//     run the kernel too, blocked permutation included, under the same
+//     stability contract;
 //   * the SIMD pin: forced-scalar and AVX2 runs produce byte-identical
 //     output.
 #include <gtest/gtest.h>
@@ -20,6 +23,8 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "dovetail/core/auto_sort.hpp"
@@ -273,6 +278,116 @@ TEST(InplaceDispatch, AlwaysInplaceDemandsSafety) {
                                  key_of_kv32));
   EXPECT_EQ(dtt::multiset_hash(std::span<const kv32>(recs), key_of_kv32),
             dtt::multiset_hash(std::span<const kv32>(relaxed), key_of_kv32));
+}
+
+namespace {
+
+// A radix record that is not trivially copyable: libstdc++'s pair has a
+// user-provided operator=, so the kernel moves its blocks by assignment.
+struct pair_rec {
+  std::pair<std::uint32_t, std::uint32_t> kv;  // (key, input index)
+  bool operator==(const pair_rec&) const = default;
+};
+static_assert(dovetail::radix_record<pair_rec>);
+static_assert(!std::is_trivially_copyable_v<pair_rec>);
+
+constexpr auto key_of_pair_rec = [](const pair_rec& r) { return r.kv.first; };
+
+std::vector<pair_rec> pair_records(const char* dist, std::size_t n,
+                                   std::uint64_t seed) {
+  const auto d = *dovetail::gen::find_distribution(dist);
+  const std::vector<std::uint32_t> keys =
+      dovetail::gen::generate_keys<std::uint32_t>(d, n, seed);
+  std::vector<pair_rec> v(n);
+  for (std::size_t i = 0; i < n; ++i)
+    v[i] = {{keys[i], static_cast<std::uint32_t>(i)}};
+  return v;
+}
+
+// The unstable kernel's output is sorted by key and, once equal keys are
+// put back in input-index order, equals std::stable_sort's.
+void expect_relaxed_match(const std::vector<pair_rec>& got,
+                          const std::vector<pair_rec>& input) {
+  ASSERT_TRUE(dtt::sorted_by_key(std::span<const pair_rec>(got),
+                                 key_of_pair_rec));
+  std::vector<pair_rec> ref = input;
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const pair_rec& a, const pair_rec& b) {
+                     return key_of_pair_rec(a) < key_of_pair_rec(b);
+                   });
+  std::vector<pair_rec> canon = got;
+  std::sort(canon.begin(), canon.end(),
+            [](const pair_rec& a, const pair_rec& b) { return a.kv < b.kv; });
+  EXPECT_TRUE(canon == ref);
+}
+
+}  // namespace
+
+TEST(InplaceSort, PairRecordsBlockedPermute) {
+  // 16 buckets of 256-byte blocks: every node above 4096 records takes the
+  // blocked permutation, so its block copies run on pair records.
+  for (const char* dist : {"Unif-1e9", "Zipf-1"}) {
+    const std::vector<pair_rec> recs = pair_records(dist, 200000, 43);
+    std::vector<pair_rec> v = recs;
+    dovetail::sort_stats st;
+    dovetail::inplace_sort_options opt;
+    opt.gamma = 4;
+    opt.block_bytes = 256;
+    opt.stats = &st;
+    dovetail::inplace_sort(std::span<pair_rec>(v), key_of_pair_rec, opt);
+    EXPECT_GT(st.inplace_passes.load(), 0u) << dist;
+    expect_relaxed_match(v, recs);
+  }
+}
+
+TEST(InplaceDispatch, AlwaysInplaceOnPairRecords) {
+  const std::vector<pair_rec> recs = pair_records("Zipf-1", 50000, 37);
+  // Payload + strict: throws, as for kv32.
+  std::vector<pair_rec> strict = recs;
+  dovetail::auto_sort_options opt_strict;
+  opt_strict.policy = dovetail::policy::always(dovetail::sort_kernel::inplace);
+  EXPECT_THROW(
+      dovetail::sort(std::span<pair_rec>(strict), key_of_pair_rec, opt_strict),
+      std::invalid_argument);
+  // Payload + relaxed: runs the kernel.
+  std::vector<pair_rec> v = recs;
+  dovetail::auto_sort_options opt;
+  opt.policy = dovetail::policy::always(dovetail::sort_kernel::inplace);
+  opt.policy.stability_mode = dovetail::stability::relaxed;
+  EXPECT_EQ(dovetail::sort(std::span<pair_rec>(v), key_of_pair_rec, opt),
+            dovetail::sort_kernel::inplace);
+  expect_relaxed_match(v, recs);
+  // A pure-key span of pairs needs no relaxed contract; its sorted order
+  // is unique.
+  using P = std::pair<std::uint32_t, std::uint32_t>;
+  std::vector<P> pure(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) pure[i] = recs[i].kv;
+  std::vector<P> want = pure;
+  std::sort(want.begin(), want.end());
+  dovetail::auto_sort_options opt_pure;
+  opt_pure.policy = dovetail::policy::always(dovetail::sort_kernel::inplace);
+  EXPECT_EQ(dovetail::sort(std::span<P>(pure), opt_pure),
+            dovetail::sort_kernel::inplace);
+  EXPECT_EQ(pure, want);
+}
+
+TEST(InplaceDispatch, BudgetPicksInplaceForPairRecords) {
+  // A budget only the in-place kernel fits, and a relaxed contract: pair
+  // records get the kernel, and its scratch, like kv32 records do.
+  const std::size_t n = 150000;
+  const std::vector<pair_rec> recs = pair_records("Unif-1e9", n, 41);
+  std::vector<pair_rec> v = recs;
+  dovetail::sort_stats st;
+  dovetail::auto_sort_options opt;
+  opt.policy.memory_budget_bytes = 64 * 1024;
+  opt.policy.stability_mode = dovetail::stability::relaxed;
+  opt.stats = &st;
+  EXPECT_EQ(dovetail::sort(std::span<pair_rec>(v), key_of_pair_rec, opt),
+            dovetail::sort_kernel::inplace);
+  EXPECT_GT(st.inplace_passes.load(), 0u);
+  EXPECT_EQ(st.encode_once_calls.load(), 0u);
+  EXPECT_LE(st.peak_workspace(), n * sizeof(pair_rec) / 4);
+  expect_relaxed_match(v, recs);
 }
 
 // --- SIMD pin --------------------------------------------------------------

@@ -166,17 +166,43 @@ TEST(OrderStats, EquivalenceUrlStringKeys) {
 }
 
 TEST(OrderStats, EquivalenceNonTriviallyCopyableRecords) {
-  // std::pair records take the encode-once (encoded, index) route even
-  // for a narrow key — the pairs path of select_by_rank.
-  using rec = std::pair<std::uint32_t, std::uint32_t>;
   auto keys = gen::generate_keys<std::uint32_t>(
       {gen::dist_kind::uniform, 1e5, "u"}, 50000, 38);
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+
+  // std::pair records are not trivially copyable under libstdc++ but are
+  // radix records (util/record.hpp): the selection passes scatter them on
+  // the fused path.
+  using rec = std::pair<std::uint32_t, std::uint32_t>;
   std::vector<rec> v(keys.size());
   for (std::size_t i = 0; i < keys.size(); ++i)
     v[i] = {keys[i], static_cast<std::uint32_t>(i)};
-  check_queries(
-      v, [](const rec& r) { return r.first; },
-      [](const rec& a, const rec& b) { return a.first < b.first; });
+  const auto pkey = [](const rec& r) { return r.first; };
+  check_queries(v, pkey,
+                [](const rec& a, const rec& b) { return a.first < b.first; });
+  (void)top_k(std::span<rec>(v), 100, pkey, rank_side::smallest, opt);
+  EXPECT_EQ(st.encode_once_calls.load(), 0u);
+
+  // A std::string member is no radix record: the encode-once (encoded,
+  // index) route — the pairs path of select_by_rank — even for a narrow
+  // key.
+  struct named {
+    std::uint32_t key;
+    std::string name;
+    bool operator==(const named&) const = default;
+  };
+  static_assert(!radix_record<named>);
+  std::vector<named> w(keys.size() / 2);
+  for (std::size_t i = 0; i < w.size(); ++i)
+    w[i] = {keys[i], std::to_string(i)};
+  const auto nkey = [](const named& r) { return r.key; };
+  check_queries(w, nkey, [](const named& a, const named& b) {
+    return a.key < b.key;
+  });
+  (void)top_k(std::span<named>(w), 100, nkey, rank_side::smallest, opt);
+  EXPECT_EQ(st.encode_once_calls.load(), 1u);
 }
 
 // ---------------------------------------------------------------------------

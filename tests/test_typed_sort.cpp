@@ -4,8 +4,11 @@
 //     double and pair<uint32_t, uint32_t> keys — the acceptance matrix —
 //     over duplicate-heavy distributions with edge values injected, across
 //     sizes that exercise every dispatch branch;
-//   * plain typed spans, including std::pair elements (the non-trivially-
-//     copyable encode-once path) and NaN-bearing float spans;
+//   * plain typed spans, including std::pair elements and NaN-bearing float
+//     spans;
+//   * the route pin: std::pair / std::tuple-member records are radix
+//     records and scatter on the fused path (sort_stats::encode_once_calls
+//     stays 0); a std::string member takes the encode-once path;
 //   * sort_by_key: stability, SoA key/value agreement with the equivalent
 //     AoS sort, size-mismatch error;
 //   * rank: exactly the stable permutation, input never mutated;
@@ -23,6 +26,8 @@
 #include <numeric>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -159,30 +164,86 @@ TEST(TypedSortAcceptance, PairU32U32) {
     ASSERT_EQ(edges[i].src, ref[i].src);
     ASSERT_EQ(edges[i].idx, ref[i].idx);  // stability
   }
-  // ...and a plain span of pairs. Under libstdc++ std::pair is not
-  // trivially copyable, so this takes the encode-once + gather path; a
-  // stdlib with trivially-copyable pairs may fuse instead — the non-TC
-  // path is covered deterministically by NonTriviallyCopyableRecords
-  // below, which does not depend on the stdlib.
+  // ...and a plain span of pairs. std::pair is a radix record (libstdc++
+  // makes it non-trivially-copyable only through its operator=), so this
+  // scatters the pairs themselves on the fused path; the encode-once path
+  // is covered by NonTriviallyCopyableRecords below.
   auto pairs = gen::generate_typed_keys<P>(
       {gen::dist_kind::zipfian, 1.1, "Zipf-1.1"}, 40000, 11);
   auto pref = pairs;
   std::stable_sort(pref.begin(), pref.end());
-  sort(std::span<P>(pairs));
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  sort(std::span<P>(pairs), opt);
   EXPECT_EQ(pairs, pref);
+  EXPECT_EQ(st.encode_once_calls.load(), 0u);
+}
+
+TEST(TypedSortAcceptance, PairAndTupleRecordsTakeFusedPath) {
+  // The radix_record trait (util/record.hpp) admits what libstdc++ keeps
+  // from being trivially copyable only through a user-provided operator=
+  // that copies member-wise, and rejects pairs / tuples holding a
+  // reference, whose operator= writes through it.
+  using P32 = std::pair<std::uint32_t, std::uint32_t>;
+  using T = std::tuple<std::uint32_t, std::uint64_t>;
+  using W = std::pair<std::uint64_t, std::uint64_t>;
+  static_assert(radix_record<P32> && radix_record<T> &&
+                radix_record<tkv<W>>);
+  static_assert(!radix_record<std::pair<const std::uint32_t, std::uint32_t>>);
+  static_assert(!radix_record<std::string>);
+  static_assert(!radix_record<std::pair<std::uint32_t&, std::uint32_t>>);
+  static_assert(!radix_record<std::tuple<std::uint32_t&, std::uint64_t>>);
+  struct holds_ref_pair {
+    std::pair<std::uint32_t&, std::uint32_t> p;
+  };
+  static_assert(!radix_record<holds_ref_pair>);
+  constexpr std::size_t n = 60000;
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+
+  // std::tuple<u32, u64> records, keyed by their first element.
+  std::vector<T> tup(n);
+  for (std::size_t i = 0; i < n; ++i)
+    tup[i] = {static_cast<std::uint32_t>(par::rand_range(13, i, 5000)), i};
+  const auto tkey = [](const T& t) { return std::get<0>(t); };
+  auto tref = tup;
+  std::stable_sort(tref.begin(), tref.end(), [&](const T& a, const T& b) {
+    return tkey(a) < tkey(b);
+  });
+  sort(std::span<T>(tup), tkey, opt);
+  EXPECT_EQ(tup, tref);
+
+  // tkv<pair<u64, u64>>: a wide (two-word) key on the refine driver's
+  // fused branch; few distinct high words force refine rounds.
+  std::vector<tkv<W>> wide(n);
+  for (std::size_t i = 0; i < n; ++i)
+    wide[i] = {{par::rand_range(17, i, 6), par::rand_range(19, i, 3000)},
+               static_cast<std::uint32_t>(i)};
+  const auto wkey = [](const tkv<W>& r) -> const W& { return r.key; };
+  auto wref = wide;
+  std::stable_sort(wref.begin(), wref.end(),
+                   [](const tkv<W>& a, const tkv<W>& b) {
+                     return a.key < b.key;
+                   });
+  sort(std::span<tkv<W>>(wide), wkey, opt);
+  EXPECT_EQ(wide, wref);
+  EXPECT_GT(st.refine_rounds.load(), 0u);
+  EXPECT_EQ(st.encode_once_calls.load(), 0u);
 }
 
 TEST(TypedSortAcceptance, NonTriviallyCopyableRecords) {
-  // Guaranteed non-trivially-copyable on every stdlib (std::string
-  // member), with an UNSIGNED key: the front door must route this to the
-  // encode-once + gather path (scratch_array's vector branch +
-  // write_back's move branch) instead of tripping the radix kernels'
-  // trivially-copyable static_assert.
+  // Not a radix record on any stdlib (std::string member), with an
+  // UNSIGNED key: the front door must route this to the encode-once +
+  // gather path (scratch_array's vector branch + write_back's move
+  // branch) instead of tripping the radix kernels' radix_record
+  // static_assert.
   struct named {
     std::uint32_t id;
     std::string name;
   };
-  static_assert(!std::is_trivially_copyable_v<named>);
+  static_assert(!radix_record<named>);
   std::vector<named> v(20000);
   for (std::size_t i = 0; i < v.size(); ++i)
     v[i] = {static_cast<std::uint32_t>(par::rand_range(7, i, 300)),
@@ -190,7 +251,11 @@ TEST(TypedSortAcceptance, NonTriviallyCopyableRecords) {
   auto ref = v;
   std::stable_sort(ref.begin(), ref.end(),
                    [](const named& a, const named& b) { return a.id < b.id; });
-  sort(std::span<named>(v), [](const named& r) { return r.id; });
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  sort(std::span<named>(v), [](const named& r) { return r.id; }, opt);
+  EXPECT_EQ(st.encode_once_calls.load(), 1u);
   for (std::size_t i = 0; i < v.size(); ++i) {
     ASSERT_EQ(v[i].id, ref[i].id) << i;
     ASSERT_EQ(v[i].name, ref[i].name) << i;  // stability, payload intact
@@ -201,9 +266,13 @@ TEST(TypedSortAcceptance, NonTriviallyCopyableRecords) {
   for (std::size_t i = 0; i < w.size(); ++i)
     w[i] = {static_cast<std::uint32_t>(i), std::to_string(i % 40)};
   sort(std::span<named>(w),
-       [](const named& r) { return -static_cast<float>(r.name.size()); });
+       [](const named& r) { return -static_cast<float>(r.name.size()); },
+       opt);
   for (std::size_t i = 1; i < w.size(); ++i)
     ASSERT_LE(w[i].name.size(), w[i - 1].name.size());
+  EXPECT_EQ(st.encode_once_calls.load(), 2u);
+  st.reset();
+  EXPECT_EQ(st.encode_once_calls.load(), 0u);
 }
 
 TEST(TypedSort, PlainSpansAndNanPolicy) {
