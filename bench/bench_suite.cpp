@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
         "refine-by-segment driver vs std::stable_sort; wide-str: string "
         "keys, 16-byte radix prefix + tie-break), and the parallel "
         "families (parallel-auto/codec/wide: the per-call num_threads "
-        "sweep and the workspace_pool refine vs its serial ablation), and "
+        "sweep and the workspace_pool segment refine), and "
         "the service families (service-batch: the open-loop batched sort "
         "service, request-size mix x concurrency, req/s with p50/p99 "
         "latency; service-stream: chunked streaming ingestion vs the "

@@ -36,39 +36,41 @@
 // the dispatcher against every hand-picked kernel.
 //
 // Typed keys (key_codec.hpp): every entry point accepts any codec-covered
-// key type — signed integers, float/double, pair/tuple composites, or a
-// user key_codec specialization — not just unsigned integers. Strategy:
+// key type — signed integers, float/double, pair/tuple composites, 128-bit
+// integers, strings, or a user key_codec specialization — not just
+// unsigned integers. How it reaches the kernels is the KEY PLAN (the
+// detail section below, ARCHITECTURE.md has the diagram), decided once:
 //   * cheap codecs (all built-ins) on radix records (util/record.hpp:
 //     plain structs, std::pair / std::tuple members included) FUSE the
 //     encode into the key function, so every kernel, the sketch and the
 //     dispatch operate on encoded keys with no extra pass and no extra
-//     memory — records are scattered as-is and never decoded;
-//   * expensive codecs, and records that are not radix records (e.g. a
-//     std::string member), ENCODE ONCE into a workspace-leased (encoded
-//     key, index) array, sort that through the same dispatcher, and apply
-//     the resulting stable permutation back to the records with one
-//     gather pass (sort_stats::encode_once_calls counts these calls).
-//   * WIDE keys — multi-word codecs (pair<u64, u64>, __int128, strings,
-//     >64-bit composites; key_codec.hpp) — route through the segmented-
-//     MSD refine driver of core/wide_sort.hpp: sort by word 0 through
-//     this same dispatcher, then refine equal-prefix segments word by
-//     word. The single-word fast paths below are untouched.
-// The encode-once machinery is also what powers the SoA entry points:
-//   * sort_by_key(keys, values) sorts parallel key/value arrays without
-//     ever dragging the value bytes through a radix pass (4-byte keys stop
-//     hauling 32-byte rows through every scatter);
-//   * rank(data, key) returns the stable sorted permutation (argsort)
-//     without moving — or even being able to write — the records.
+//     memory — records are scattered as-is and never decoded; WIDE keys
+//     (multi-word codecs) fuse into the segmented-MSD refine driver of
+//     core/wide_sort.hpp: sort by word 0 through this same dispatcher,
+//     then refine equal-prefix segments word by word;
+//   * everything else takes the PERMUTATION ROUTE: encode every key once
+//     into workspace-leased (encoded words, index) records, sort them
+//     through the same drivers, and emit the stable permutation — applied
+//     to the records with one gather (sort_stats::encode_once_calls counts
+//     gathers). The route also powers the SoA entry points:
+//       - sort_by_key(keys, values) sorts parallel key/value arrays
+//         without ever dragging the value bytes through a radix pass
+//         (4-byte keys stop hauling 32-byte rows through every scatter);
+//       - rank(data, key) returns the stable sorted permutation (argsort)
+//         without moving — or even being able to write — the records.
 // Which entry point ran and which codec it used land in sort_stats
 // (entry_point / codec_kind_id / codec_encoded_bits snapshots).
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -81,6 +83,7 @@
 #include "dovetail/core/key_codec.hpp"
 #include "dovetail/core/sort_options.hpp"
 #include "dovetail/core/sort_stats.hpp"
+#include "dovetail/core/wide_sort.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/parallel/merge.hpp"
 #include "dovetail/parallel/parallel_for.hpp"
@@ -270,22 +273,6 @@ struct dispatch_policy {
   // up — the query-topk bench family is the evidence, same recipe as
   // every threshold here (docs/TUNING.md).
   std::size_t select_base_case = std::size_t{1} << 11;
-  // Wide keys only: refine large equal-prefix segments CONCURRENTLY, each
-  // in-flight sort on its own workspace_pool arena (wide_sort.hpp). Off =
-  // the pre-pool behaviour (segments re-enter the front door one at a
-  // time, parallel only inside each call) — kept as an ablation toggle so
-  // the parallel-refine gain stays measurable (bench scenarios_parallel).
-  bool parallel_wide_refine = true;
-  // Offset-capable non-exhaustive codecs (std::string / std::string_view)
-  // only: when a segment still ties after every materialized prefix word,
-  // re-enter radix refinement on the next slice of the true keys (the
-  // offset-codec form in key_codec.hpp) instead of finishing the whole
-  // segment with one comparison sort. Off = the pre-continuation
-  // behaviour (the PR-5 tie-break), kept as an ablation toggle: both
-  // paths produce byte-identical output (asserted in
-  // tests/test_string_engine.cpp) and the wide-str-lcp bench family
-  // measures the gap on long-common-prefix corpora.
-  bool wide_continuation = true;
 
   // The decision tree. `disallow` is a bitmask of sort_kernel values the
   // caller has ruled out (the dispatcher uses it when a cheap-branch
@@ -544,6 +531,26 @@ std::pair<std::uint64_t, std::uint64_t> exact_key_range(
       });
 }
 
+// The scope of one front-door call: the per-call worker cap (exact at 1 —
+// nothing below it forks) and the workspace every lease comes from, the
+// caller's or a local one. `opt` is the caller's options with that
+// workspace filled in; the cap lands in sort_stats::effective_workers.
+struct call_scope {
+  explicit call_scope(const auto_sort_options& o)
+      : cap(o.num_threads), opt(o) {
+    if (opt.workspace == nullptr) opt.workspace = &local_ws;
+    if (opt.stats != nullptr)
+      opt.stats->effective_workers.store(
+          static_cast<std::uint64_t>(par::effective_workers()),
+          std::memory_order_relaxed);
+  }
+  [[nodiscard]] sort_workspace& ws() const { return *opt.workspace; }
+
+  par::scoped_worker_limit cap;
+  sort_workspace local_ws;
+  auto_sort_options opt;
+};
+
 // The dispatch core: sketch, route, run. `key` must return an unsigned
 // integer here — the public entry points below fold any other key type
 // through its key_codec before reaching this.
@@ -559,11 +566,8 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   // The per-call cap bounds everything below — sketch, confirmation scans,
   // kernel — and is what dispatch_policy::plan_parallelism() sees as the
   // available worker count.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  if (st != nullptr)
-    st->effective_workers.store(
-        static_cast<std::uint64_t>(par::effective_workers()),
-        std::memory_order_relaxed);
+  const call_scope scope(opt);
+  sort_workspace& ws = scope.ws();
 
   input_sketch sk =
       sketch_input(std::span<const Rec>(data.data(), n), key, opt.sketch);
@@ -590,9 +594,6 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
     st->sketch_runs.store(0, std::memory_order_relaxed);
   }
 
-  sort_workspace local_ws;
-  sort_workspace& ws =
-      opt.workspace != nullptr ? *opt.workspace : local_ws;
   const auto record_choice = [&](const kernel_plan& p) {
     if (st != nullptr) {
       st->chosen_kernel.store(1 + static_cast<std::uint64_t>(p.kernel),
@@ -723,7 +724,23 @@ sort_kernel sort_unsigned(std::span<Rec> data, const KeyFn& key,
   }
 }
 
-// --- typed-key machinery (the encode-once path) ---------------------------
+// --- the key plan ----------------------------------------------------------
+//
+// How every typed entry point reaches the radix drivers. One decision
+// (fused_key_plan) and one route:
+//
+//   key(record) ──► fused?  ──yes──► the driver reads encoded words from
+//                     │             the records themselves; records are
+//                     │             scattered as-is, never decoded
+//                     no
+//                     ▼
+//   permutation_route: call_scope ─► encoded_records (words + index)
+//                      ─► driver ─► sink(permutation)
+//
+// The drivers are sort_driver (below) and order_stats.hpp's select
+// driver; the sinks are gather_into (one gather of the caller's arrays)
+// and rank's index output. sort_by_key, rank and group_by's fingerprint
+// always take the route: they need the permutation itself.
 
 // Snapshot the entry-point/codec stats fields (last write wins, matching
 // chosen_kernel's contract).
@@ -738,58 +755,42 @@ inline void note_entry(sort_stats* st, sort_entry entry, codec_kind kind,
                                std::memory_order_relaxed);
 }
 
-inline void note_encode_once(sort_stats* st) {
-  if (st != nullptr)
-    st->encode_once_calls.fetch_add(1, std::memory_order_relaxed);
-}
+// The key plan's one decision: a cheap codec on radix records FUSES the
+// encode into every key access; anything else — an expensive codec, or a
+// record the radix kernels cannot scatter (e.g. a std::string member) —
+// takes the permutation route.
+template <typename Rec, typename K>
+inline constexpr bool fused_key_plan =
+    radix_record<Rec> && wide_key_traits<K>::cheap;
 
-// (encoded key, source index) pair records for the encode-once path. The
-// narrow pair is used whenever the encoded key and the index both fit 32
-// bits — half the bytes per scatter pass.
-struct enc_idx32 {
-  std::uint32_t key;
-  std::uint32_t value;
+// One record of the permutation route: every encoded word of a key plus
+// its input index. u32 words when a single-word key fits 32 bits and every
+// index does too — half the bytes per scatter pass.
+template <typename Word, std::size_t W>
+struct encoded_record {
+  Word word[W];
+  Word idx;
 };
-struct enc_idx64 {
-  std::uint64_t key;
-  std::uint64_t value;
-};
 
-template <typename PairRec, typename EncOf, typename Emit>
-sort_kernel ranked_permutation_impl(std::size_t n, const EncOf& enc_of,
-                                    const auto_sort_options& opt,
-                                    sort_workspace& ws, const Emit& emit) {
-  sort_workspace::lease pl = ws.acquire(n * sizeof(PairRec), opt.stats);
-  const std::span<PairRec> pairs = pl.template carve<PairRec>(n);
+// The one record builder: lease n encoded_records and fill them from
+// key_at(i) — one sequential read of each key, after which the driver's
+// passes and the word half of every comparison run over a cache-resident
+// array (the true key is touched again only by a prefix codec's tie-break
+// and by the final gather).
+template <typename WT, typename Rec, typename KeyAt>
+[[nodiscard]] sort_workspace::lease encoded_records(std::size_t n,
+                                                    const KeyAt& key_at,
+                                                    sort_workspace& ws,
+                                                    sort_stats* st,
+                                                    std::span<Rec>& out) {
+  sort_workspace::lease lease = ws.acquire_array<Rec>(n, out, st);
   par::parallel_for(0, n, [&](std::size_t i) {
-    pairs[i] = PairRec{static_cast<decltype(PairRec::key)>(enc_of(i)),
-                       static_cast<decltype(PairRec::value)>(i)};
+    auto&& k = key_at(i);
+    for (std::size_t w = 0; w < WT::word_count; ++w)
+      out[i].word[w] = static_cast<decltype(out[i].idx)>(WT::word(k, w));
+    out[i].idx = static_cast<decltype(out[i].idx)>(i);
   });
-  // A stable sort of (encoded key, input index) pairs IS the stable
-  // permutation: equal keys keep increasing indices.
-  const sort_kernel k =
-      sort_unsigned(pairs, [](const PairRec& p) { return p.key; }, opt);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(pairs[i].value));
-  });
-  return k;
-}
-
-// Stable sorted permutation of [0, n) under the (already unsigned) encoded
-// keys enc_of(i): emit(pos, src) is called once per position (in parallel,
-// unordered) with the source index ranking there. Runs the full adaptive dispatcher
-// on the pair records, so presorted / tiny-range / tiny-n inputs keep
-// their cheap kernels; all scratch is leased from `ws`.
-template <typename EncOf, typename Emit>
-sort_kernel ranked_permutation(std::size_t n, int encoded_bits,
-                               const EncOf& enc_of,
-                               const auto_sort_options& opt,
-                               sort_workspace& ws, const Emit& emit) {
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  if (encoded_bits <= 32 && n <= 0xFFFFFFFFull)
-    return ranked_permutation_impl<enc_idx32>(n, enc_of, inner, ws, emit);
-  return ranked_permutation_impl<enc_idx64>(n, enc_of, inner, ws, emit);
+  return lease;
 }
 
 // n elements of T, backed by a workspace lease when T is a radix_record
@@ -827,20 +828,173 @@ void write_back(std::span<T> from, std::span<T> to) {
   }
 }
 
-// Wide (multi-word) key routes — defined in core/wide_sort.hpp, which is
-// included at the bottom of this header so either include gives the whole
-// front door. The public entry points below branch here whenever the key
-// type's codec is multi-word (pair<u64, u64>, __int128, strings, >64-bit
-// composites).
-template <typename Rec, typename KeyFn>
-sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
-                      const auto_sort_options& opt);
-template <typename K, typename V>
-sort_kernel sort_by_key_wide(std::span<K> keys, std::span<V> values,
-                             const auto_sort_options& opt);
-template <typename Rec, typename KeyFn>
-std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
-                               const auto_sort_options& opt);
+// The one gather: a sink that applies the permutation to every array in
+// one pass — move each source into leased scratch, then write the scratch
+// back. Moving is safe: every source index is consumed exactly once and
+// every slot is overwritten afterwards, so a std::string never pays a heap
+// copy for being sorted. Each gather counts in
+// sort_stats::encode_once_calls.
+template <typename... T>
+auto gather_into(sort_stats* st, std::span<T>... arrays) {
+  return [st, arrays...](const auto& src_at, sort_workspace& ws) {
+    if (st != nullptr)
+      st->encode_once_calls.fetch_add(1, std::memory_order_relaxed);
+    const std::size_t n = std::min({arrays.size()...});
+    std::tuple<scratch_array<T>...> scratch{scratch_array<T>(n, ws, st)...};
+    std::apply(
+        [&](scratch_array<T>&... tmp) {
+          par::parallel_for(0, n, [&](std::size_t pos) {
+            const std::size_t src = src_at(pos);
+            ((tmp.get()[pos] = std::move(arrays[src])), ...);
+          });
+          (write_back(tmp.get(), arrays), ...);
+        },
+        scratch);
+  };
+}
+
+// The sort driver for a wide key: word 0 through the adaptive front door
+// (sort_unsigned keyed on word_of), then wide_sort.hpp's segmented refine
+// rounds — with the continuation hooks when the codec has the offset form
+// — returning the word-0 dispatch's kernel. word_of(rec, w) is word w of a
+// record's key, key_of(rec) its true key, and reencode(segment, offset)
+// repoints the word source of a continuing segment. Shared by the fused
+// wide sort and the permutation route.
+template <typename WT, typename Rec, typename WordOf, typename KeyOf,
+          typename Reencode>
+sort_kernel refine_through_front_door(std::span<Rec> data,
+                                      const WordOf& word_of,
+                                      const KeyOf& key_of,
+                                      const Reencode& reencode,
+                                      const auto_sort_options& opt,
+                                      sort_workspace& ws) {
+  sort_kernel root = sort_kernel::std_sort;
+  bool first = true;
+  // chosen_kernel and the sketch_* fields are last-write-wins snapshots,
+  // so the per-segment dispatches of later rounds would leave them
+  // describing the LAST refined segment. The wide contract is that they
+  // describe the ROOT (word-0, whole-input) dispatch — the kernel this
+  // function returns — so the word-0 values are captured here and
+  // restored after the refine rounds.
+  std::atomic<std::uint64_t> sort_stats::*const snap_fields[] = {
+      &sort_stats::chosen_kernel,          &sort_stats::sketch_key_bits,
+      &sort_stats::sketch_distinct_permille, &sort_stats::sketch_top_permille,
+      &sort_stats::sketch_desc_permille,   &sort_stats::sketch_heavy_keys,
+      &sort_stats::sketch_runs,            &sort_stats::chosen_parallelism,
+      &sort_stats::effective_workers};
+  constexpr std::size_t kNumSnap = std::size(snap_fields);
+  std::uint64_t snap[kNumSnap] = {};
+  const auto sort_seg = [&](std::span<Rec> seg, std::size_t w,
+                            sort_workspace& seg_ws) {
+    auto_sort_options seg_opt = opt;
+    seg_opt.workspace = &seg_ws;
+    const sort_kernel k = sort_unsigned(
+        seg, [&word_of, w](const Rec& r) { return word_of(r, w); }, seg_opt);
+    if (first) {
+      root = k;
+      first = false;
+      if (opt.stats != nullptr)
+        for (std::size_t f = 0; f < kNumSnap; ++f)
+          snap[f] = (opt.stats->*snap_fields[f])
+                        .load(std::memory_order_relaxed);
+    }
+  };
+  const auto tie = true_key_less<WT>(key_of);
+  // Pool for the concurrent large-segment sorts: the caller's, else the
+  // process-wide shared pool.
+  wide_refine(data, WT::word_count, WT::exhaustive,
+              opt.policy.wide_segment_base_case, word_of, sort_seg, tie, ws,
+              opt.pool != nullptr ? *opt.pool : workspace_pool::shared(),
+              opt.stats, continuation_hooks_for<WT, Rec>(key_of, reencode));
+  if (opt.stats != nullptr && !first)
+    for (std::size_t f = 0; f < kNumSnap; ++f)
+      (opt.stats->*snap_fields[f]).store(snap[f],
+                                         std::memory_order_relaxed);
+  return root;
+}
+
+// The sort driver of the permutation route: one sort_unsigned call for a
+// single-word key, the refine driver for a wide one. Its continuation
+// rounds rewrite the materialized words from the true keys at the chosen
+// offset — one parallel pass per segment, after which every word read is
+// back to a cache-resident record.
+template <typename K>
+struct sort_driver {
+  template <typename Rec, typename KeyOf>
+  sort_kernel operator()(std::span<Rec> recs, const KeyOf& key_of,
+                         const auto_sort_options& opt,
+                         sort_workspace& ws) const {
+    using WT = wide_key_traits<K>;
+    if constexpr (WT::word_count == 1) {
+      (void)key_of;
+      (void)ws;
+      return sort_unsigned(recs, [](const Rec& r) { return r.word[0]; },
+                           opt);
+    } else {
+      return refine_through_front_door<WT>(
+          recs, [](const Rec& r, std::size_t w) { return r.word[w]; },
+          key_of,
+          [&key_of](std::span<Rec> seg, std::size_t off) {
+            par::parallel_for(0, seg.size(), [&](std::size_t i) {
+              auto&& k = key_of(seg[i]);
+              for (std::size_t w = 0; w < WT::continuation_words; ++w)
+                seg[i].word[w] = WT::word_at(k, w, off);
+            });
+          },
+          opt, ws);
+    }
+  }
+};
+
+// Run `drive` on encoded records of type Rec and hand the permutation to
+// `sink` — the body of permutation_route once the word type is chosen.
+template <typename Rec, typename WT, typename KeyAt, typename Drive,
+          typename Sink>
+auto permute_encoded(std::size_t n, const KeyAt& key_at,
+                     const call_scope& scope, const Drive& drive,
+                     const Sink& sink) {
+  std::span<Rec> recs;
+  const sort_workspace::lease lease =
+      encoded_records<WT>(n, key_at, scope.ws(), scope.opt.stats, recs);
+  const auto key_of = [&key_at](const Rec& r) -> decltype(auto) {
+    return key_at(static_cast<std::size_t>(r.idx));
+  };
+  const auto src_at = [recs](std::size_t pos) {
+    return static_cast<std::size_t>(recs[pos].idx);
+  };
+  if constexpr (std::is_void_v<decltype(drive(recs, key_of, scope.opt,
+                                              scope.ws()))>) {
+    drive(recs, key_of, scope.opt, scope.ws());
+    sink(src_at, scope.ws());
+  } else {
+    const auto result = drive(recs, key_of, scope.opt, scope.ws());
+    sink(src_at, scope.ws());
+    return result;
+  }
+}
+
+// The permutation route: under one call_scope (worker cap + workspace),
+// encode key_at(i) for every i in [0, n) once into encoded_records, run
+// `drive(records, key_of, opt, ws)` on them — key_of(record) is the
+// record's true key — and hand the resulting permutation to
+// `sink(src_at, ws)`, where src_at(pos) is the input index ranking at pos.
+// A stable driver on records that carry their input index IS the stable
+// permutation: equal keys keep increasing indices. Returns what `drive`
+// returns.
+template <typename K, typename KeyAt, typename Drive, typename Sink>
+auto permutation_route(std::size_t n, const KeyAt& key_at,
+                       const auto_sort_options& opt, const Drive& drive,
+                       const Sink& sink) {
+  using WT = wide_key_traits<K>;
+  const call_scope scope(opt);
+  if constexpr (WT::word_count == 1 && WT::encoded_bits <= 32) {
+    if (n <= 0xFFFFFFFFull)
+      return permute_encoded<encoded_record<std::uint32_t, 1>, WT>(
+          n, key_at, scope, drive, sink);
+  }
+  return permute_encoded<encoded_record<std::uint64_t, WT::word_count>, WT>(
+      n, key_at, scope, drive, sink);
+}
 
 }  // namespace detail
 
@@ -857,8 +1011,8 @@ std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
 // (single- or multi-word). Cheap codecs on radix records (util/record.hpp;
 // std::pair / std::tuple members included) fuse the encoding into every
 // key access (no extra pass, no extra memory); expensive codecs and other
-// records (e.g. a std::string member) take the encode-once path: sort
-// (encoded key, index) pairs, then gather the records once, bumping
+// records (e.g. a std::string member) take the permutation route: sort
+// (encoded key, index) records, then gather the records once, bumping
 // sort_stats::encode_once_calls.
 //
 // Guarantees:
@@ -891,49 +1045,42 @@ sort_kernel sort(std::span<Rec> data, const KeyFn& key,
       "unsigned/signed integer, float/double, a pair/tuple of those (any "
       "packed width), a 128-bit integer, std::string/string_view, or "
       "specialize dovetail::key_codec<K> (see core/key_codec.hpp)");
-  if constexpr (!sortable_key<K>) {
-    // Multi-word codec: the segmented-MSD refine driver (wide_sort.hpp).
-    return detail::sort_wide(data, key, opt);
+  using WT = wide_key_traits<K>;
+  detail::note_entry(opt.stats, sort_entry::sort, WT::kind,
+                     WT::encoded_bits);
+  if constexpr (!detail::fused_key_plan<Rec, K>) {
+    return detail::permutation_route<K>(
+        data.size(),
+        [&](std::size_t i) -> decltype(auto) { return key(data[i]); }, opt,
+        detail::sort_driver<K>{}, detail::gather_into(opt.stats, data));
+  } else if constexpr (WT::word_count > 1) {
+    // Fused wide: each word pass re-derives its radix key from the record.
+    // An offset codec's continuation (std::string_view records) has no
+    // materialized words to refresh, so its offset lives in one shared
+    // variable read by every word access: the driver writes it strictly
+    // between parallel phases — the fork of the next segment sort
+    // publishes the store — and every continuing segment of a round
+    // shares it (the rounds are globally lockstep).
+    const detail::call_scope scope(opt);
+    std::size_t cont_off = 0;
+    return detail::refine_through_front_door<WT>(
+        data,
+        [&key, &cont_off](const Rec& r, std::size_t w) {
+          return WT::word_at(key(r), w, cont_off);
+        },
+        key, [&cont_off](std::span<Rec>, std::size_t off) { cont_off = off; },
+        scope.opt, scope.ws());
+  } else if constexpr (codec_traits<K>::identity) {
+    // Identity codecs (unsigned keys) skip even the encode wrapper.
+    return detail::sort_unsigned(data, key, opt);
   } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    detail::note_entry(opt.stats, sort_entry::sort, traits::kind,
-                       traits::encoded_bits);
-    if constexpr (radix_record<Rec> && traits::cheap) {
-      // Fused: kernels, sketch and dispatch all see encoded keys; records
-      // are scattered as-is and never decoded. Identity codecs (unsigned
-      // keys) skip even the encode wrapper.
-      if constexpr (traits::identity) {
-        return detail::sort_unsigned(data, key, opt);
-      } else {
-        // The named wrapper (not a lambda) keeps the purity of the inner
-        // functor visible to the dispatcher: encoded_key_fn over a
-        // pure-key functor is itself pure-key (is_pure_key_fn_v), which is
-        // what lets plain signed/float spans use the in-place kernel.
-        return detail::sort_unsigned(
-            data, encoded_key_fn<codec, KeyFn>{key}, opt);
-      }
-    } else {
-      // Encode once, sort (encoded, index) pairs, gather the records —
-      // also the route for records that are not radix records, whatever
-      // the key type (the radix kernels cannot scatter them).
-      detail::note_encode_once(opt.stats);
-      const std::size_t n = data.size();
-      sort_workspace local_ws;
-      sort_workspace& ws =
-          opt.workspace != nullptr ? *opt.workspace : local_ws;
-      detail::scratch_array<Rec> tmp(n, ws, opt.stats);
-      const std::span<Rec> t = tmp.get();
-      const sort_kernel k = detail::ranked_permutation(
-          n, traits::encoded_bits,
-          [&](std::size_t i) {
-            return static_cast<std::uint64_t>(codec::encode(key(data[i])));
-          },
-          opt, ws,
-          [&](std::size_t pos, std::size_t src) { t[pos] = data[src]; });
-      detail::write_back(t, data);
-      return k;
-    }
+    // The named wrapper (not a lambda) keeps the purity of the inner
+    // functor visible to the dispatcher: encoded_key_fn over a pure-key
+    // functor is itself pure-key (is_pure_key_fn_v), which is what lets
+    // plain signed/float spans use the in-place kernel.
+    return detail::sort_unsigned(
+        data, encoded_key_fn<typename codec_traits<K>::codec, KeyFn>{key},
+        opt);
   }
 }
 
@@ -973,35 +1120,12 @@ sort_kernel sort_by_key(std::span<K> keys, std::span<V> values,
   if (keys.size() != values.size())
     throw std::invalid_argument(
         "dovetail::sort_by_key: keys and values differ in size");
-  if constexpr (!sortable_key<K>) {
-    return detail::sort_by_key_wide(keys, values, opt);
-  } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    const std::size_t n = keys.size();
-    detail::note_entry(opt.stats, sort_entry::sort_by_key, traits::kind,
-                       traits::encoded_bits);
-    sort_workspace local_ws;
-    sort_workspace& ws =
-        opt.workspace != nullptr ? *opt.workspace : local_ws;
-    detail::scratch_array<K> tk(n, ws, opt.stats);
-    detail::scratch_array<V> tv(n, ws, opt.stats);
-    const std::span<K> sk = tk.get();
-    const std::span<V> sv = tv.get();
-    const sort_kernel k = detail::ranked_permutation(
-        n, traits::encoded_bits,
-        [&](std::size_t i) {
-          return static_cast<std::uint64_t>(codec::encode(keys[i]));
-        },
-        opt, ws,
-        [&](std::size_t pos, std::size_t src) {
-          sk[pos] = keys[src];
-          sv[pos] = values[src];
-        });
-    detail::write_back(sk, keys);
-    detail::write_back(sv, values);
-    return k;
-  }
+  using WT = wide_key_traits<K>;
+  detail::note_entry(opt.stats, sort_entry::sort_by_key, WT::kind,
+                     WT::encoded_bits);
+  return detail::permutation_route<K>(
+      keys.size(), [&](std::size_t i) -> const K& { return keys[i]; }, opt,
+      detail::sort_driver<K>{}, detail::gather_into(opt.stats, keys, values));
 }
 
 // Stable argsort: the permutation p with data[p[0]], data[p[1]], ... in
@@ -1021,26 +1145,18 @@ std::vector<index_t> rank(std::span<Rec> data, const KeyFn& key,
   static_assert(any_sortable_key<K>,
                 "dovetail::rank: the key type has no key_codec "
                 "(see core/key_codec.hpp)");
-  if constexpr (!sortable_key<K>) {
-    return detail::rank_wide(data, key, opt);
-  } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    const std::size_t n = data.size();
-    detail::note_entry(opt.stats, sort_entry::rank, traits::kind,
-                       traits::encoded_bits);
-    sort_workspace local_ws;
-    sort_workspace& ws =
-        opt.workspace != nullptr ? *opt.workspace : local_ws;
-    std::vector<index_t> out(n);
-    detail::ranked_permutation(
-        n, traits::encoded_bits,
-        [&](std::size_t i) {
-          return static_cast<std::uint64_t>(codec::encode(key(data[i])));
-        },
-        opt, ws, [&](std::size_t pos, std::size_t src) { out[pos] = src; });
-    return out;
-  }
+  using WT = wide_key_traits<K>;
+  detail::note_entry(opt.stats, sort_entry::rank, WT::kind,
+                     WT::encoded_bits);
+  std::vector<index_t> out(data.size());
+  detail::permutation_route<K>(
+      data.size(),
+      [&](std::size_t i) -> decltype(auto) { return key(data[i]); }, opt,
+      detail::sort_driver<K>{}, [&](const auto& src_at, sort_workspace&) {
+        par::parallel_for(0, out.size(),
+                          [&](std::size_t i) { out[i] = src_at(i); });
+      });
+  return out;
 }
 
 // rank over a span of plain keys, wide keys included.
@@ -1053,8 +1169,3 @@ std::vector<index_t> rank(std::span<K> data,
 }
 
 }  // namespace dovetail
-
-// The wide-key half of the front door (the segmented-MSD refine driver
-// plus the detail::*_wide helpers forward-declared above). Included last
-// so either header pulls in the other; see wide_sort.hpp.
-#include "dovetail/core/wide_sort.hpp"  // NOLINT(misc-header-include-cycle)

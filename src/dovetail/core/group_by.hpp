@@ -117,34 +117,16 @@ std::vector<std::size_t> group_boundaries(std::span<const K> keys) {
   return bounds;
 }
 
-// The fingerprint (semisort) permutation for integral keys: stable sort
-// of (hash64(key), index) pairs, one gather per array. hash64 is a
+// The fingerprint (semisort) key of an integral key: par::hash64 is a
 // bijective 64-bit mixer, so distinct keys never collide and equal keys
-// always do — grouping is exact, and the heavy-key sampling inside the
-// engine gives big groups their own buckets.
-template <typename K, typename V>
-void group_by_fingerprint(std::span<K> keys, std::span<V> values,
-                          const auto_sort_options& opt) {
-  const std::size_t n = keys.size();
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  scratch_array<K> tk(n, ws, opt.stats);
-  scratch_array<V> tv(n, ws, opt.stats);
-  const std::span<K> sk = tk.get();
-  const std::span<V> sv = tv.get();
-  ranked_permutation(
-      n, 64,
-      [&](std::size_t i) {
-        return par::hash64(static_cast<std::uint64_t>(keys[i]));
-      },
-      opt, ws,
-      [&](std::size_t pos, std::size_t src) {
-        sk[pos] = keys[src];
-        sv[pos] = values[src];
-      });
-  write_back(sk, keys);
-  write_back(sv, values);
-}
+// always do — grouping by it is exact, and the heavy-key sampling inside
+// the engine gives big groups their own buckets.
+struct fingerprint_key {
+  template <typename K>
+  std::uint64_t operator()(const K& k) const noexcept {
+    return par::hash64(static_cast<std::uint64_t>(k));
+  }
+};
 
 }  // namespace detail
 
@@ -168,7 +150,13 @@ grouped_view<K, V> group_by(std::span<K> keys, std::span<V> values,
                      wide_key_traits<K>::encoded_bits);
   if constexpr (std::integral<std::remove_cvref_t<K>>) {
     if (order == group_order::fingerprint)
-      detail::group_by_fingerprint(keys, values, opt);
+      // Stable sort of the fingerprints through the permutation route,
+      // one gather of both arrays.
+      detail::permutation_route<std::uint64_t>(
+          keys.size(),
+          [&](std::size_t i) { return detail::fingerprint_key{}(keys[i]); },
+          opt, detail::sort_driver<std::uint64_t>{},
+          detail::gather_into(opt.stats, keys, values));
     else
       dovetail::sort_by_key(keys, values, opt);
   } else {
@@ -189,33 +177,22 @@ grouped_view<K, K> group_by(std::span<K> keys,
   static_assert(any_sortable_key<K>,
                 "dovetail::group_by: the key type has no key_codec (see "
                 "core/key_codec.hpp)");
-  detail::note_query(opt.stats, query_kind::group_by,
-                     wide_key_traits<K>::kind,
-                     wide_key_traits<K>::encoded_bits);
   if constexpr (std::integral<std::remove_cvref_t<K>>) {
-    if (order == group_order::fingerprint) {
-      // Single-array fingerprint permutation (semisort proper).
-      const std::size_t n = keys.size();
-      sort_workspace local_ws;
-      sort_workspace& ws =
-          opt.workspace != nullptr ? *opt.workspace : local_ws;
-      detail::scratch_array<K> tk(n, ws, opt.stats);
-      const std::span<K> sk = tk.get();
-      detail::ranked_permutation(
-          n, 64,
-          [&](std::size_t i) {
-            return par::hash64(static_cast<std::uint64_t>(keys[i]));
-          },
-          opt, ws,
-          [&](std::size_t pos, std::size_t src) { sk[pos] = keys[src]; });
-      detail::write_back(sk, keys);
-    } else {
+    // Single-array fingerprint grouping (semisort proper) is a stable
+    // sort by the fingerprint.
+    if (order == group_order::fingerprint)
+      dovetail::sort(keys, detail::fingerprint_key{}, opt);
+    else
       dovetail::sort(keys, opt);
-    }
   } else {
     (void)order;
     dovetail::sort(keys, opt);
   }
+  // After the sort, whose entry snapshot would otherwise describe the
+  // fingerprint key rather than K.
+  detail::note_query(opt.stats, query_kind::group_by,
+                     wide_key_traits<K>::kind,
+                     wide_key_traits<K>::encoded_bits);
   return grouped_view<K, K>{
       keys, keys,
       detail::group_boundaries(std::span<const K>(keys.data(), keys.size()))};

@@ -40,11 +40,12 @@
 //
 // Codec coverage matches dovetail::sort: unsigned/signed integers,
 // float/double (IEEE total order), composites, 128-bit integers,
-// std::string/string_view — single-word codecs fuse or take the
-// encode-once (encoded key, index) route, wide codecs select word 0
-// first and refine only surviving segments on later words (equal-prefix
-// segments that still tie after the materialized words finish with one
-// true-key comparison sort, the same contract as wide_sort.hpp).
+// std::string/string_view. Single-word codecs on radix records fuse;
+// everything else takes the key plan's permutation route (auto_sort.hpp)
+// with the select driver: wide codecs select word 0 first and refine only
+// surviving segments on later words (equal-prefix segments that still tie
+// after the materialized words finish with one true-key comparison sort),
+// then one gather applies the permutation to the records.
 // Workspace/stats contract as dovetail::sort: all O(n) scratch is leased,
 // warm repeated queries on one workspace allocate nothing.
 #pragma once
@@ -638,88 +639,36 @@ void select_unsigned(std::span<Rec> data, const EncFn& enc,
   sel.run();
 }
 
-// Encode-once selection: build (encoded key, index) pairs, select on the
-// pairs, then let the caller gather. The pair records inherit the stable
-// arrival order, so equal encoded keys keep increasing indices without a
-// tie-break — same argument as ranked_permutation.
-template <typename PairRec, typename EncOf, typename Emit>
-void selected_permutation_impl(std::size_t n, const EncOf& enc_of,
-                               std::span<const rank_window> windows,
-                               const auto_sort_options& opt,
-                               sort_workspace& ws, const Emit& emit) {
-  sort_workspace::lease pl = ws.acquire(n * sizeof(PairRec), opt.stats);
-  const std::span<PairRec> pairs = pl.template carve<PairRec>(n);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    pairs[i] = PairRec{static_cast<decltype(PairRec::key)>(enc_of(i)),
-                       static_cast<decltype(PairRec::value)>(i)};
-  });
-  select_unsigned(pairs, [](const PairRec& p) { return p.key; }, windows,
-                  opt, ws);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(pairs[i].value));
-  });
-}
-
-template <typename EncOf, typename Emit>
-void selected_permutation(std::size_t n, int encoded_bits,
-                          const EncOf& enc_of,
-                          std::span<const rank_window> windows,
-                          const auto_sort_options& opt, sort_workspace& ws,
-                          const Emit& emit) {
-  if (encoded_bits <= 32 && n <= 0xFFFFFFFFull)
-    selected_permutation_impl<enc_idx32>(n, enc_of, windows, opt, ws, emit);
-  else
-    selected_permutation_impl<enc_idx64>(n, enc_of, windows, opt, ws, emit);
-}
-
-// Wide selection: materialize (all encoded words, index) records exactly
-// like wide_ranked_permutation, select word by word — word 0 prunes most
-// of the input for small windows; only surviving segments ever touch
-// later words — and emit the permutation.
-template <typename K, typename KeyAt, typename Emit>
-void select_wide(std::size_t n, const KeyAt& key_at,
-                 std::span<const rank_window> windows,
-                 const auto_sort_options& opt, sort_workspace& ws,
-                 const Emit& emit) {
-  using WT = wide_key_traits<std::remove_cvref_t<K>>;
-  constexpr std::size_t W = WT::word_count;
-  struct wrec {
-    std::uint64_t word[W];
-    std::uint64_t idx;
-  };
-  std::span<wrec> recs;
-  sort_workspace::lease rl = ws.acquire_array<wrec>(n, recs, opt.stats);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    auto&& k = key_at(i);
-    for (std::size_t w = 0; w < W; ++w) recs[i].word[w] = WT::word(k, w);
-    recs[i].idx = static_cast<std::uint64_t>(i);
-  });
-  const auto word_of = [](const wrec& p, std::size_t w) {
-    return p.word[w];
-  };
-  const auto tie = [&](const wrec& a, const wrec& b) {
-    if constexpr (WT::exhaustive) {
-      (void)a;
-      (void)b;
-      return false;
-    } else {
-      return key_at(static_cast<std::size_t>(a.idx)) <
-             key_at(static_cast<std::size_t>(b.idx));
-    }
-  };
-  rank_selector<wrec, decltype(word_of), decltype(tie)> sel(
-      recs, W, WT::exhaustive, word_of, tie, windows,
-      opt.policy.select_base_case, ws, opt.stats);
-  sel.run();
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(recs[i].idx));
-  });
+// The select driver of the permutation route (auto_sort.hpp). A
+// single-word key keeps select_unsigned's covered-segment re-dispatch; a
+// wide key selects word by word — word 0 prunes most of the input for
+// small windows, only surviving segments ever touch later words — with
+// the true-key tie-break of a prefix codec consulted past the words.
+template <typename WT, typename Rec, typename KeyOf>
+void select_words(std::span<Rec> recs, const KeyOf& key_of,
+                  std::span<const rank_window> windows,
+                  const auto_sort_options& opt, sort_workspace& ws) {
+  if constexpr (WT::word_count == 1) {
+    (void)key_of;
+    select_unsigned(recs, [](const Rec& r) { return r.word[0]; }, windows,
+                    opt, ws);
+  } else {
+    const auto word_of = [](const Rec& r, std::size_t w) {
+      return r.word[w];
+    };
+    const auto tie = true_key_less<WT>(key_of);
+    rank_selector<Rec, decltype(word_of), decltype(tie)> sel(
+        recs, WT::word_count, WT::exhaustive, word_of, tie, windows,
+        opt.policy.select_base_case, ws, opt.stats);
+    sel.run();
+  }
 }
 
 // The shared orchestrator behind every public query: rearrange `data` so
 // each requested window holds its slice of the stable sorted order.
 // `windows` must be sorted, disjoint, and clipped to [0, data.size()).
-// Branching mirrors dovetail::sort — fused / encode-once / wide.
+// The key plan of dovetail::sort, except that wide keys always take the
+// permutation route (there is no fused wide selection).
 template <typename Rec, typename KeyFn>
 void select_by_rank(std::span<Rec> data, const KeyFn& key,
                     std::span<const rank_window> windows,
@@ -737,61 +686,23 @@ void select_by_rank(std::span<Rec> data, const KeyFn& key,
     dovetail::sort(data, key, opt);
     return;
   }
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  if (opt.stats != nullptr)
-    opt.stats->effective_workers.store(
-        static_cast<std::uint64_t>(par::effective_workers()),
-        std::memory_order_relaxed);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  if constexpr (!sortable_key<K>) {
-    // Wide keys: selection over the materialized word records, then one
-    // gather (moves, like the wide sort's encode-once path).
-    scratch_array<Rec> tmp(n, ws, opt.stats);
-    const std::span<Rec> t = tmp.get();
-    select_wide<K>(
-        n, [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-        windows, inner, ws, [&](std::size_t pos, std::size_t src) {
-          t[pos] = std::move(data[src]);
-        });
-    write_back(t, data);
+  using WT = wide_key_traits<K>;
+  if constexpr (fused_key_plan<Rec, K> && WT::word_count == 1) {
+    // Fused: the selection passes scatter the records as-is, encoding per
+    // key access — no extra pass, no extra memory.
+    const call_scope scope(opt);
+    select_unsigned(
+        data, [&key](const Rec& r) { return WT::word(key(r), 0); }, windows,
+        scope.opt, scope.ws());
   } else {
-    using traits = codec_traits<K>;
-    using codec = typename traits::codec;
-    if constexpr (radix_record<Rec> && traits::cheap) {
-      // Fused: the selection passes scatter the records as-is, encoding
-      // per key access — no extra pass, no extra memory.
-      if constexpr (traits::identity) {
-        select_unsigned(
-            data,
-            [&key](const Rec& r) {
-              return static_cast<std::uint64_t>(key(r));
-            },
-            windows, inner, ws);
-      } else {
-        select_unsigned(
-            data,
-            [&key](const Rec& r) {
-              return static_cast<std::uint64_t>(codec::encode(key(r)));
-            },
-            windows, inner, ws);
-      }
-    } else {
-      // Encode once, select the (encoded, index) pairs, gather once.
-      note_encode_once(opt.stats);
-      scratch_array<Rec> tmp(n, ws, opt.stats);
-      const std::span<Rec> t = tmp.get();
-      selected_permutation(
-          n, traits::encoded_bits,
-          [&](std::size_t i) {
-            return static_cast<std::uint64_t>(codec::encode(key(data[i])));
-          },
-          windows, inner, ws,
-          [&](std::size_t pos, std::size_t src) { t[pos] = data[src]; });
-      write_back(t, data);
-    }
+    permutation_route<K>(
+        n, [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
+        opt,
+        [windows](auto recs, const auto& key_of,
+                  const auto_sort_options& inner, sort_workspace& ws) {
+          select_words<WT>(recs, key_of, windows, inner, ws);
+        },
+        gather_into(opt.stats, data));
   }
 }
 
@@ -955,16 +866,12 @@ std::vector<K> percentiles(std::span<const K> data,
     else
       windows.push_back({r, r + 1});
   }
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  detail::scratch_array<K> tmp(n, ws, opt.stats);
+  const detail::call_scope scope(opt);
+  detail::scratch_array<K> tmp(n, scope.ws(), opt.stats);
   const std::span<K> t = tmp.get();
   par::parallel_for(0, n, [&](std::size_t i) { t[i] = data[i]; });
   detail::select_by_rank(t, [](const K& v) -> const K& { return v; },
-                         std::span<const rank_window>(windows), inner);
+                         std::span<const rank_window>(windows), scope.opt);
   std::vector<K> out;
   out.reserve(qs.size());
   for (const std::size_t r : ranks) out.push_back(t[r]);

@@ -99,14 +99,15 @@ struct sort_stats {
   std::atomic<std::uint64_t> entry_point{0};
   std::atomic<std::uint64_t> codec_kind_id{0};
   std::atomic<std::uint64_t> codec_encoded_bits{0};
-  // Cumulative, unlike the snapshots around it: calls that took the
-  // encode-once route — sort (encoded key, index) records, then gather the
-  // records — instead of scattering the records themselves. Bumped by
-  // dovetail::sort (narrow and wide keys) and by the order-statistics
-  // queries on narrow keys, once per call, for an expensive codec or a
-  // record that is not a radix_record (util/record.hpp), e.g. one with a
-  // std::string member. sort_by_key and rank always run on (encoded key,
-  // index) records and do not count here.
+  // Cumulative, unlike the snapshots around it: calls that gathered
+  // records through a permutation — the key plan's permutation route
+  // (auto_sort.hpp) sorts or selects (encoded words, index) records, then
+  // moves the caller's arrays into place once. Bumped once per gather:
+  // dovetail::sort and the order-statistics queries on an expensive codec
+  // or a record that is not a radix_record (util/record.hpp), the queries
+  // on every wide key, sort_by_key, and group_by's two-array fingerprint
+  // mode. rank emits the permutation itself and does not count; neither
+  // does any fused call.
   std::atomic<std::uint64_t> encode_once_calls{0};
   // Wide-key refine driver (wide_sort.hpp) snapshots, last-write-wins like
   // the codec fields: refinement rounds run beyond the word-0 pass (the
@@ -123,8 +124,8 @@ struct sort_stats {
   // the deepest key byte any round inspected (offset + stride of the last
   // window). wide_tiebreak_fallbacks counts ABOVE-base-case segments a
   // non-exhaustive codec finished with the true-key comparison sort —
-  // always 0 when the continuation runs (its acceptance property); > 0 on
-  // the dispatch_policy::wide_continuation = false ablation whenever an
+  // always 0 for offset-capable codecs (the continuation's acceptance
+  // property); > 0 for a prefix codec without the offset form whenever an
   // equal-prefix segment outgrew wide_segment_base_case.
   std::atomic<std::uint64_t> wide_continuation_rounds{0};
   std::atomic<std::uint64_t> wide_continuation_segments{0};

@@ -32,39 +32,31 @@
 //      round), a window where the keys end while equal drops the segment
 //      — and only windows where keys differ re-encode and re-enter the
 //      same refinement, round after round, until every segment
-//      separates, ends, or shrinks to the comparison base case. No comparison sort ever runs
-//      on an above-base-case segment (sort_stats::wide_tiebreak_fallbacks
-//      stays 0). Without the offset form — or under the
-//      dispatch_policy::wide_continuation = false ablation — residual
-//      segments get one stable comparison sort on the TRUE keys each (the
-//      PR-5 tie-break). Both routes yield full lexicographic order, so
-//      dovetail::sort on strings is byte-identical either way; the
-//      continuation just replaces per-key long-prefix comparisons with
-//      distribution passes (the wide-str-lcp bench family measures it).
+//      separates, ends, or shrinks to the comparison base case. No
+//      comparison sort ever runs on an above-base-case segment
+//      (sort_stats::wide_tiebreak_fallbacks stays 0). Without the offset
+//      form (a user codec) residual segments get one stable comparison
+//      sort on the TRUE keys each — the tie-break. Both routes yield the
+//      true key order.
 //
 // Stability: every pass is stable and confined to one segment, so the
-// whole sort is stable. Scratch: the segment tables and the encode-once
-// (encoded words, index) record array lease workspace slabs — warm calls
-// allocate nothing from the workspace, continuation rounds included (they
-// reuse the same tables and, on the encode-once path, rewrite the word
-// array in place). The refine work lands in sort_stats as refine_rounds /
-// wide_segments / wide_continuation_* / wide_tiebreak_fallbacks
-// snapshots.
+// whole sort is stable. Scratch: the segment tables lease workspace slabs
+// — warm calls allocate nothing from the workspace, continuation rounds
+// included (they reuse the same tables). The refine work lands in
+// sort_stats as refine_rounds / wide_segments / wide_continuation_* /
+// wide_tiebreak_fallbacks snapshots.
 //
-// This header is included from the bottom of auto_sort.hpp (which forward-
-// declares the entry helpers defined here); including either header gives
-// you both, and dovetail::sort / sort_by_key / rank accept wide keys
-// transparently.
+// The driver is generic over how a segment is sorted by one word:
+// auto_sort.hpp's key plan supplies that (refine_through_front_door) and
+// the word source — the records themselves on the fused path, or the
+// (encoded words, index) records of the permutation route.
 #pragma once
-
-#include "dovetail/core/auto_sort.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iterator>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -213,8 +205,8 @@ inline constexpr std::size_t cont_probe_done = static_cast<std::size_t>(-1);
 // round: the probe skips tied words wholesale, so a round only ever
 // sorts a word known to differ). `prefix_bytes` is where the
 // materialized prefix ends, i.e. the first continuation offset. The
-// no_continuation tag keeps exhaustive codecs and the tie-break ablation
-// on the pre-continuation path with zero overhead.
+// no_continuation tag keeps exhaustive codecs and non-offset prefix codecs
+// on the comparison tie-break with zero overhead.
 struct no_continuation {};
 
 template <typename Reencode, typename Probe, typename TieFrom>
@@ -351,21 +343,19 @@ std::size_t probe_tied_windows(std::size_t count, std::size_t off,
 // so within an equal-prefix segment tie_less alone is a refinement of
 // every remaining word.
 //
-// `pool` enables concurrent large-segment refinement: when non-null and
-// more than one worker is available, the large segments of a round are
-// sorted in parallel, each in-flight sort on a workspace checked out of
-// the pool (warm after the first round: zero pool-level allocation).
-// nullptr serializes them through the caller's workspace — the pre-pool
-// behaviour, kept for ablation and for 1-worker runs where pool arenas
-// would only duplicate the caller's warm arena.
+// `pool` serves concurrent large-segment refinement: when more than one
+// worker is available, the large segments of a round are sorted in
+// parallel, each in-flight sort on a workspace checked out of the pool
+// (warm after the first round: zero pool-level allocation). With one
+// worker they go through the caller's workspace one at a time — pool
+// arenas would only duplicate the caller's warm arena.
 template <typename Rec, typename WordOf, typename SortSeg, typename TieLess,
-          typename Cont = no_continuation>
+          typename Cont>
 void wide_refine(std::span<Rec> data, std::size_t word_count,
                  bool exhaustive, std::size_t base_case,
                  const WordOf& word_of, const SortSeg& sort_seg,
                  const TieLess& tie_less, sort_workspace& ws,
-                 workspace_pool* pool, sort_stats* stats,
-                 const Cont& cont = {}) {
+                 workspace_pool& pool, sort_stats* stats, const Cont& cont) {
   constexpr bool kContinuation =
       !std::is_same_v<std::remove_cvref_t<Cont>, no_continuation>;
   const std::size_t n = data.size();
@@ -427,7 +417,7 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
   // does not depend on the pool.
   const auto sort_split_large = [&](std::size_t w) {
     std::size_t nnext = 0;
-    if (pool != nullptr && large.size() > 1 && par::effective_workers() > 1) {
+    if (large.size() > 1 && par::effective_workers() > 1) {
       // Concurrent in-flight sorts, one pool workspace each (the caller's
       // `ws` cannot serve them all: one in-flight sort per workspace).
       // Each segment sort still parallelises internally — work stealing
@@ -437,7 +427,7 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
           0, large.size(),
           [&](std::size_t j) {
             const auto [lo, hi] = cur[large[j]];
-            workspace_pool::handle h = pool->checkout();
+            workspace_pool::handle h = pool.checkout();
             sort_seg(data.subspan(lo, hi - lo), w, *h);
           },
           1);
@@ -600,14 +590,12 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
       offset += cont.stride * ((m == 0 && ndef > 0) ? min_skip : 1);
     }
   } else if (ncur > 0 && !exhaustive) {
-    // The comparison tie-break: segments here share their whole prefix,
-    // so each is one sequential comparison sort — parallel across
-    // segments only. For offset-capable codecs this is now the
-    // dispatch_policy::wide_continuation = false ablation; for other
-    // non-exhaustive codecs it is still the only route. Above-base-case
-    // segments finished here are the degenerate case the continuation
-    // exists to remove — counted so tests and benchmarks can assert the
-    // continuation path reports zero.
+    // The comparison tie-break of a non-exhaustive codec without the
+    // offset form: segments here share their whole prefix, so each is one
+    // sequential comparison sort — parallel across segments only.
+    // Above-base-case segments finished here are the degenerate case the
+    // continuation exists to remove — counted so tests and benchmarks can
+    // tell the two routes apart.
     ++rounds;
     segments += ncur;
     for (std::size_t i = 0; i < ncur; ++i)
@@ -623,355 +611,77 @@ void wide_refine(std::span<Rec> data, std::size_t word_count,
   note();
 }
 
-// Run the refine driver with every segment sorted through the adaptive
-// front door (sort_unsigned keyed on word_of), returning the word-0
-// dispatch's kernel — the shared scaffolding of the fused and
-// encode-once paths below.
-template <typename Rec, typename WordOf, typename TieLess,
-          typename Cont = no_continuation>
-sort_kernel refine_through_front_door(std::span<Rec> data,
-                                      std::size_t word_count,
-                                      bool exhaustive, const WordOf& word_of,
-                                      const TieLess& tie_less,
-                                      const auto_sort_options& opt,
-                                      sort_workspace& ws,
-                                      const Cont& cont = {}) {
-  sort_kernel root = sort_kernel::std_sort;
-  bool first = true;
-  // chosen_kernel and the sketch_* fields are last-write-wins snapshots,
-  // so the per-segment dispatches of later rounds would leave them
-  // describing the LAST refined segment. The wide contract is that they
-  // describe the ROOT (word-0, whole-input) dispatch — the kernel this
-  // function returns — so the word-0 values are captured here and
-  // restored after the refine rounds.
-  std::atomic<std::uint64_t> sort_stats::*const snap_fields[] = {
-      &sort_stats::chosen_kernel,          &sort_stats::sketch_key_bits,
-      &sort_stats::sketch_distinct_permille, &sort_stats::sketch_top_permille,
-      &sort_stats::sketch_desc_permille,   &sort_stats::sketch_heavy_keys,
-      &sort_stats::sketch_runs,            &sort_stats::chosen_parallelism,
-      &sort_stats::effective_workers};
-  constexpr std::size_t kNumSnap = std::size(snap_fields);
-  std::uint64_t snap[kNumSnap] = {};
-  const auto sort_seg = [&](std::span<Rec> seg, std::size_t w,
-                            sort_workspace& seg_ws) {
-    auto_sort_options seg_opt = opt;
-    seg_opt.workspace = &seg_ws;
-    const sort_kernel k = sort_unsigned(
-        seg, [&word_of, w](const Rec& r) { return word_of(r, w); }, seg_opt);
-    if (first) {
-      root = k;
-      first = false;
-      if (opt.stats != nullptr)
-        for (std::size_t f = 0; f < kNumSnap; ++f)
-          snap[f] = (opt.stats->*snap_fields[f])
-                        .load(std::memory_order_relaxed);
-    }
-  };
-  // Pool for the concurrent large-segment sorts: the caller's, else the
-  // process-wide shared pool; disabled entirely (serial pre-pool path)
-  // when the policy's ablation toggle says so.
-  workspace_pool* pool =
-      opt.policy.parallel_wide_refine
-          ? (opt.pool != nullptr ? opt.pool : &workspace_pool::shared())
-          : nullptr;
-  wide_refine(data, word_count, exhaustive,
-              opt.policy.wide_segment_base_case, word_of, sort_seg,
-              tie_less, ws, pool, opt.stats, cont);
-  if (opt.stats != nullptr && !first)
-    for (std::size_t f = 0; f < kNumSnap; ++f)
-      (opt.stats->*snap_fields[f]).store(snap[f],
-                                         std::memory_order_relaxed);
-  return root;
-}
-
-// ---------------------------------------------------------------------------
-// Entry helpers wired from the public front door (auto_sort.hpp forward-
-// declares these and branches to them for wide key types).
-
-// Stable sorted permutation of [0, n) under the wide keys key_at(i).
-// One workspace-leased array of (ALL encoded words, index) records: every
-// word is materialised up front with one sequential read of each key, so
-// the refine rounds and the word half of every comparison run over a
-// cache-resident array — the true key is touched again only by a prefix
-// codec's tie-break and by the caller's final gather. emit(pos, src)
-// receives the permutation. The shared machinery behind the wide
-// sort_by_key / rank / encode-once sort paths.
-template <typename K, typename KeyAt, typename Emit>
-sort_kernel wide_ranked_permutation(std::size_t n, const KeyAt& key_at,
-                                    const auto_sort_options& opt,
-                                    sort_workspace& ws, const Emit& emit) {
-  using WT = wide_key_traits<std::remove_cvref_t<K>>;
-  constexpr std::size_t W = WT::word_count;
-  struct wrec {
-    std::uint64_t word[W];
-    std::uint64_t idx;
-  };
-  std::span<wrec> recs;
-  sort_workspace::lease rl = ws.acquire_array<wrec>(n, recs, opt.stats);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    auto&& k = key_at(i);
-    for (std::size_t w = 0; w < W; ++w) recs[i].word[w] = WT::word(k, w);
-    recs[i].idx = static_cast<std::uint64_t>(i);
-  });
-  const auto word_of = [](const wrec& p, std::size_t w) {
-    return p.word[w];
-  };
-  const auto tie = [&](const wrec& a, const wrec& b) {
+// The true-key order of records whose key is key_of(record), consulted
+// only by non-exhaustive codecs (equal words do not pin down the key).
+template <typename WT, typename KeyOf>
+auto true_key_less(const KeyOf& key_of) {
+  return [&key_of](const auto& a, const auto& b) {
     if constexpr (WT::exhaustive) {
       (void)a;
       (void)b;
       return false;
     } else {
-      return key_at(a.idx) < key_at(b.idx);
+      return key_of(a) < key_of(b);
     }
   };
-  sort_kernel root = sort_kernel::std_sort;
-  bool routed = false;
-  if constexpr (WT::offset_encodable) {
-    if (opt.policy.wide_continuation) {
-      // Continuation hooks, encode-once shape: the probe walks each
-      // key's suffix straight from the true keys (no store) — at memcmp
-      // speed when the key reads as raw bytes, via the codec words
-      // otherwise; reencode refreshes the materialized words from the
-      // true keys at the chosen offset (one parallel pass per segment;
-      // every later word read is back to a cache-resident array hit).
-      constexpr bool kByteKeys =
-          std::is_convertible_v<decltype(key_at(std::size_t{0})),
-                                std::string_view>;
-      const auto probe = [&](std::span<const wrec> seg,
-                             std::size_t off) -> std::size_t {
-        if constexpr (kByteKeys) {
-          return probe_tied_bytes(
-              seg.size(), off, WT::continuation_stride, [&](std::size_t i) {
-                return std::string_view(
-                    key_at(static_cast<std::size_t>(seg[i].idx)));
-              });
-        } else {
-          return probe_tied_windows<WT::continuation_words>(
-              seg.size(), off, WT::continuation_stride,
-              [&](std::size_t i) -> decltype(auto) {
-                return key_at(static_cast<std::size_t>(seg[i].idx));
-              },
-              [](const auto& k, std::size_t w, std::size_t o) {
-                return WT::word_at(k, w, o);
-              },
-              [](std::uint64_t wd) { return WT::word_continues(wd); });
-        }
-      };
-      const auto reencode = [&](std::span<wrec> seg, std::size_t off) {
-        par::parallel_for(0, seg.size(), [&](std::size_t i) {
-          auto&& k = key_at(static_cast<std::size_t>(seg[i].idx));
-          for (std::size_t w = 0; w < WT::continuation_words; ++w)
-            seg[i].word[w] = WT::word_at(k, w, off);
-        });
-      };
-      const auto tie_from = [&](const wrec& a, const wrec& b,
-                                std::size_t off) {
-        if constexpr (kByteKeys) {
-          // string_view order IS the codec's true order (char_traits
-          // compares unsigned), restricted to the suffixes past the
-          // verified-tied bytes.
-          std::string_view sa(key_at(static_cast<std::size_t>(a.idx)));
-          std::string_view sb(key_at(static_cast<std::size_t>(b.idx)));
-          sa.remove_prefix(std::min(off, sa.size()));
-          sb.remove_prefix(std::min(off, sb.size()));
-          return sa < sb;
-        } else {
-          return suffix_words_less<WT>(
-              key_at(static_cast<std::size_t>(a.idx)),
-              key_at(static_cast<std::size_t>(b.idx)), off);
-        }
-      };
-      // Materialized prefix bytes: the continuation picks up where the
-      // prefix words end (bytes-per-word x word_count).
-      constexpr std::size_t prefix_bytes =
-          WT::continuation_stride / WT::continuation_words * W;
-      root = refine_through_front_door(
-          recs, W, WT::exhaustive, word_of, tie, opt, ws,
-          continuation_hooks{WT::continuation_stride, WT::continuation_words,
-                             prefix_bytes, reencode, probe, tie_from});
-      routed = true;
-    }
-  }
-  if (!routed)
-    root = refine_through_front_door(recs, W, WT::exhaustive, word_of, tie,
-                                     opt, ws);
-  par::parallel_for(0, n, [&](std::size_t i) {
-    emit(i, static_cast<std::size_t>(recs[i].idx));
-  });
-  return root;
 }
 
-template <typename Rec, typename KeyFn>
-sort_kernel sort_wide(std::span<Rec> data, const KeyFn& key,
-                      const auto_sort_options& opt) {
-  using K =
-      std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const Rec&>>;
-  using WT = wide_key_traits<K>;
-  note_entry(opt.stats, sort_entry::sort, WT::kind, WT::encoded_bits);
-  // The per-call cap must wrap the refine driver and the gather passes,
-  // not just the per-segment sort_unsigned calls (which install their own
-  // nested cap): the refine rounds run between those calls and would
-  // otherwise see the full pool even under num_threads == 1.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  if constexpr (radix_record<Rec> && WT::cheap && WT::offset_encodable) {
-    // Fused, offset-capable (std::string_view records): there are no
-    // materialized words to refresh, so the continuation offset lives in
-    // one shared variable read by every word access. The driver writes it
-    // (reencode) strictly between parallel phases — the fork of the next
-    // segment sort publishes the store to its workers — and every
-    // continuing segment of a round shares the same offset (the rounds
-    // are globally lockstep), so a single variable is enough.
-    std::size_t cont_off = 0;
-    const auto word_of = [&key, &cont_off](const Rec& r, std::size_t w) {
-      return WT::word_at(key(r), w, cont_off);
-    };
-    const auto tie = [&key](const Rec& a, const Rec& b) {
-      return key(a) < key(b);
-    };
-    if (inner.policy.wide_continuation) {
-      constexpr bool kByteKeys =
-          std::is_convertible_v<std::invoke_result_t<const KeyFn&,
-                                                     const Rec&>,
-                                std::string_view>;
-      const auto probe = [&key](std::span<const Rec> seg,
-                                std::size_t off) -> std::size_t {
-        if constexpr (kByteKeys) {
-          return probe_tied_bytes(
-              seg.size(), off, WT::continuation_stride,
-              [&](std::size_t i) { return std::string_view(key(seg[i])); });
-        } else {
-          return probe_tied_windows<WT::continuation_words>(
-              seg.size(), off, WT::continuation_stride,
-              [&](std::size_t i) { return key(seg[i]); },
-              [](const auto& k, std::size_t w, std::size_t o) {
-                return WT::word_at(k, w, o);
-              },
-              [](std::uint64_t wd) { return WT::word_continues(wd); });
-        }
-      };
-      const auto reencode = [&cont_off](std::span<Rec>, std::size_t off) {
-        cont_off = off;
-      };
-      const auto tie_from = [&key](const Rec& a, const Rec& b,
-                                   std::size_t off) {
-        if constexpr (kByteKeys) {
-          std::string_view sa(key(a));
-          std::string_view sb(key(b));
-          sa.remove_prefix(std::min(off, sa.size()));
-          sb.remove_prefix(std::min(off, sb.size()));
-          return sa < sb;
-        } else {
-          return suffix_words_less<WT>(key(a), key(b), off);
-        }
-      };
-      constexpr std::size_t prefix_bytes = WT::continuation_stride /
-                                           WT::continuation_words *
-                                           WT::word_count;
-      return refine_through_front_door(
-          data, WT::word_count, WT::exhaustive, word_of, tie, inner, ws,
-          continuation_hooks{WT::continuation_stride, WT::continuation_words,
-                             prefix_bytes, reencode, probe, tie_from});
-    }
-    return refine_through_front_door(data, WT::word_count, WT::exhaustive,
-                                     word_of, tie, inner, ws);
-  } else if constexpr (radix_record<Rec> && WT::cheap) {
-    // Fused: records are scattered as-is, each word pass re-derives its
-    // radix key from the record — no extra memory beyond the front door's
-    // own scratch.
-    const auto word_of = [&key](const Rec& r, std::size_t w) {
-      return WT::word(key(r), w);
-    };
-    const auto tie = [&key](const Rec& a, const Rec& b) {
-      if constexpr (WT::exhaustive) {
-        (void)a;
-        (void)b;
-        return false;
+// The continuation hooks of an offset-capable codec over records whose
+// true key is key_of(record); no_continuation for every other codec. The
+// probe walks each key's suffix straight from the true keys — at memcmp
+// speed when the key reads as raw bytes, via the codec words otherwise —
+// and tie_from compares only the suffixes past the verified-tied bytes
+// (string_view order IS the codec's true order: char_traits compares
+// unsigned). `reencode` is the one part that depends on where the words
+// live: the encoded records rewrite their materialized words, the fused
+// path moves a shared offset.
+template <typename WT, typename Rec, typename KeyOf, typename Reencode>
+auto continuation_hooks_for(const KeyOf& key_of, const Reencode& reencode) {
+  if constexpr (!WT::offset_encodable) {
+    (void)key_of;
+    (void)reencode;
+    return no_continuation{};
+  } else {
+    constexpr bool kByteKeys =
+        std::is_convertible_v<decltype(key_of(std::declval<const Rec&>())),
+                              std::string_view>;
+    const auto probe = [&key_of](std::span<const Rec> seg,
+                                 std::size_t off) -> std::size_t {
+      if constexpr (kByteKeys) {
+        return probe_tied_bytes(
+            seg.size(), off, WT::continuation_stride,
+            [&](std::size_t i) { return std::string_view(key_of(seg[i])); });
       } else {
-        return key(a) < key(b);
+        return probe_tied_windows<WT::continuation_words>(
+            seg.size(), off, WT::continuation_stride,
+            [&](std::size_t i) -> decltype(auto) { return key_of(seg[i]); },
+            [](const auto& k, std::size_t w, std::size_t o) {
+              return WT::word_at(k, w, o);
+            },
+            [](std::uint64_t wd) { return WT::word_continues(wd); });
       }
     };
-    return refine_through_front_door(data, WT::word_count, WT::exhaustive,
-                                     word_of, tie, inner, ws);
-  } else {
-    // Encode-once shape: sort (encoded words, index) records, then gather
-    // once — the only route for records that are not radix records
-    // (std::string members and friends). The gather MOVES each record
-    // (emit is a permutation, so every source is consumed exactly once,
-    // and write_back overwrites every slot afterwards) — a string never
-    // pays a heap copy for being sorted.
-    note_encode_once(opt.stats);
-    const std::size_t n = data.size();
-    scratch_array<Rec> tmp(n, ws, opt.stats);
-    const std::span<Rec> t = tmp.get();
-    const sort_kernel k = wide_ranked_permutation<K>(
-        n,
-        [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-        inner, ws, [&](std::size_t pos, std::size_t src) {
-          t[pos] = std::move(data[src]);
-        });
-    write_back(t, data);
-    return k;
+    const auto tie_from = [&key_of](const Rec& a, const Rec& b,
+                                    std::size_t off) {
+      if constexpr (kByteKeys) {
+        std::string_view sa(key_of(a));
+        std::string_view sb(key_of(b));
+        sa.remove_prefix(std::min(off, sa.size()));
+        sb.remove_prefix(std::min(off, sb.size()));
+        return sa < sb;
+      } else {
+        return suffix_words_less<WT>(key_of(a), key_of(b), off);
+      }
+    };
+    // The continuation picks up where the materialized prefix words end
+    // (bytes-per-word x word_count).
+    constexpr std::size_t prefix_bytes = WT::continuation_stride /
+                                         WT::continuation_words *
+                                         WT::word_count;
+    return continuation_hooks{WT::continuation_stride,
+                              WT::continuation_words, prefix_bytes, reencode,
+                              probe, tie_from};
   }
-}
-
-template <typename K, typename V>
-sort_kernel sort_by_key_wide(std::span<K> keys, std::span<V> values,
-                             const auto_sort_options& opt) {
-  using traits = wide_key_traits<K>;
-  const std::size_t n = keys.size();
-  note_entry(opt.stats, sort_entry::sort_by_key, traits::kind,
-             traits::encoded_bits);
-  // Same scope rationale as sort_wide: cover refine + gathers, not just
-  // the nested sort_unsigned calls.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  scratch_array<K> tk(n, ws, opt.stats);
-  scratch_array<V> tv(n, ws, opt.stats);
-  const std::span<K> sk = tk.get();
-  const std::span<V> sv = tv.get();
-  // The gather moves (see sort_wide): each source index is consumed once
-  // and both arrays are fully overwritten by the write_back below.
-  const sort_kernel k = wide_ranked_permutation<K>(
-      n, [&](std::size_t i) -> const K& { return keys[i]; }, inner, ws,
-      [&](std::size_t pos, std::size_t src) {
-        sk[pos] = std::move(keys[src]);
-        sv[pos] = std::move(values[src]);
-      });
-  write_back(sk, keys);
-  write_back(sv, values);
-  return k;
-}
-
-template <typename Rec, typename KeyFn>
-std::vector<index_t> rank_wide(std::span<Rec> data, const KeyFn& key,
-                               const auto_sort_options& opt) {
-  using R = std::remove_const_t<Rec>;
-  using K =
-      std::remove_cvref_t<std::invoke_result_t<const KeyFn&, const R&>>;
-  using traits = wide_key_traits<K>;
-  const std::size_t n = data.size();
-  note_entry(opt.stats, sort_entry::rank, traits::kind,
-             traits::encoded_bits);
-  // Same scope rationale as sort_wide: cover refine + gathers, not just
-  // the nested sort_unsigned calls.
-  const par::scoped_worker_limit worker_cap(opt.num_threads);
-  sort_workspace local_ws;
-  sort_workspace& ws = opt.workspace != nullptr ? *opt.workspace : local_ws;
-  auto_sort_options inner = opt;
-  inner.workspace = &ws;
-  std::vector<index_t> out(n);
-  wide_ranked_permutation<K>(
-      n, [&](std::size_t i) -> decltype(auto) { return key(data[i]); },
-      inner, ws, [&](std::size_t pos, std::size_t src) { out[pos] = src; });
-  return out;
 }
 
 }  // namespace detail

@@ -8,12 +8,12 @@
 // word-0 entropy ranges from constant to fully random. The string arm
 // (FuzzDifferentialLcpString) drives the variable-length string engine
 // over random long-common-prefix corpora, demanding the MSD continuation
-// and its tie-break ablation both match the reference. The streaming arm
-// (FuzzDifferentialStream) feeds the SAME mixed inputs through
-// stream_sorter under a random chunking plan and demands byte-identity
-// with both std::stable_sort and the one-shot front door. The pair-record
-// arm (FuzzDifferentialPairRecords) runs std::pair / std::tuple-member
-// records through every entry point that moves them.
+// match the reference. The streaming arm (FuzzDifferentialStream) feeds
+// the SAME mixed inputs through stream_sorter under a random chunking
+// plan and demands byte-identity with both std::stable_sort and the
+// one-shot front door. The pair-record arm (FuzzDifferentialPairRecords)
+// runs std::pair / std::tuple-member records through every entry point
+// that moves them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -211,13 +211,12 @@ TEST_P(FuzzDifferentialWide, MatchesStdStableSort) {
 
 // ---------------------------------------------------------------------------
 // Long-common-prefix string arm: the variable-length string engine
-// (wide_sort.hpp's MSD continuation) against both its own tie-break
-// ablation and std::stable_sort. Each seed draws a common prefix of
-// random length 0..256 over the FULL byte alphabet (NUL and 0xFF
-// included), then mixes per-key shapes: truncations inside the prefix
-// (strict-prefix adversaries), exact prefix duplicates, and tails of
-// random length/entropy — shared across a small id space on some kinds so
-// duplicate full keys occur too.
+// (wide_sort.hpp's MSD continuation) against std::stable_sort. Each
+// seed draws a common prefix of random length 0..256 over the FULL byte
+// alphabet (NUL and 0xFF included), then mixes per-key shapes:
+// truncations inside the prefix (strict-prefix adversaries), exact prefix
+// duplicates, and tails of random length/entropy — shared across a small
+// id space on some kinds so duplicate full keys occur too.
 
 namespace {
 
@@ -257,7 +256,7 @@ class FuzzDifferentialLcpString : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzDifferentialLcpString,
                          ::testing::Range(0, 24));
 
-TEST_P(FuzzDifferentialLcpString, ContinuationAndAblationMatchReference) {
+TEST_P(FuzzDifferentialLcpString, ContinuationMatchesReference) {
   const auto seed = static_cast<std::uint64_t>(9000 + GetParam());
   const auto input = build_lcp_string_input(seed);
   auto ref = input;
@@ -271,13 +270,8 @@ TEST_P(FuzzDifferentialLcpString, ContinuationAndAblationMatchReference) {
   if (seed % 2 == 1) opt.policy.wide_segment_base_case = 256;
   if (seed % 3 == 0) opt.num_threads = (seed % 6 == 0) ? 4 : 1;
   auto cont = input;
-  opt.policy.wide_continuation = true;
   dovetail::sort(std::span<std::string>(cont), opt);
-  auto abl = input;
-  opt.policy.wide_continuation = false;
-  dovetail::sort(std::span<std::string>(abl), opt);
   ASSERT_EQ(cont, ref) << "continuation diverged; seed=" << seed;
-  ASSERT_EQ(abl, ref) << "tie-break ablation diverged; seed=" << seed;
 }
 
 // ---------------------------------------------------------------------------

@@ -205,6 +205,26 @@ TEST(OrderStats, EquivalenceNonTriviallyCopyableRecords) {
   EXPECT_EQ(st.encode_once_calls.load(), 1u);
 }
 
+TEST(OrderStats, EncodeOnceCallsCountEveryGather) {
+  // Every selection that gathers records through a permutation counts
+  // once — the wide route included — and a fused one never does.
+  using u128 = unsigned __int128;
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  auto wide = gen::generate_wide_records<u128>(
+      {gen::dist_kind::uniform, 1e5, "u"}, 50000, 91, 8);
+  (void)top_k(std::span<tkv<u128>>(wide), 100, key_of_tkv<u128>,
+              rank_side::smallest, opt);
+  EXPECT_EQ(st.encode_once_calls.load(), 1u);
+  st.reset();
+  auto flat = gen::generate_records<kv64>(
+      {gen::dist_kind::uniform, 1e9, "u"}, 50000, 92);
+  (void)top_k(std::span<kv64>(flat), 100, key_of_kv64, rank_side::smallest,
+              opt);
+  EXPECT_EQ(st.encode_once_calls.load(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Stability, tiny inputs, errors
 

@@ -13,8 +13,10 @@
 //     arena from one workspace_pool: all outputs record-exact and stable,
 //     and a second warm round performs zero pool creations (the
 //     zero-steady-state-allocation property);
-//   * determinism — byte-identical outputs across num_threads ∈ {1, 2, 4}
-//     and across parallel_wide_refine on/off, for flat and wide keys;
+//   * determinism — byte-identical outputs across num_threads ∈ {1, 2, 4},
+//     pooled wide refine against a num_threads = 1 call, for flat and wide
+//     keys; num_threads = 1 keeps every pass of the encoded key plan (key
+//     reads included) on the calling thread;
 //   * the dispatch record — sort_stats.chosen_parallelism/effective_workers
 //     mirror the decision: 1 below parallel_crossover_n or under a
 //     num_threads=1 cap, the worker count above it.
@@ -22,9 +24,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <set>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,6 +36,7 @@
 #include "dovetail/core/dovetail_sort.hpp"
 #include "dovetail/core/workspace.hpp"
 #include "dovetail/generators/synthetic.hpp"
+#include "dovetail/parallel/random.hpp"
 #include "dovetail/parallel/scheduler.hpp"
 #include "dovetail/util/record.hpp"
 #include "test_util.hpp"
@@ -320,16 +325,18 @@ TEST(Determinism, WideRefinePoolAndSerialAgree) {
   const auto input =
       gen::generate_wide_records<u128>(zipf_dist(), 40'000, 3, 4);
 
+  // The serial reference is a num_threads = 1 call: one worker refines
+  // every segment through the caller's workspace.
   workspace_pool pool(4);
   std::vector<std::vector<tkv<u128>>> outs;
-  for (const bool pooled : {true, false}) {
+  for (const int threads : {0, 1}) {
     std::vector<tkv<u128>> work = input;
     sort_workspace ws;
     auto_sort_options opt;
     opt.workspace = &ws;
     opt.pool = &pool;
+    opt.num_threads = threads;
     opt.policy.wide_segment_base_case = 512;
-    opt.policy.parallel_wide_refine = pooled;
     dovetail::sort(std::span<tkv<u128>>(work), key_of_tkv<u128>, opt);
     outs.push_back(std::move(work));
   }
@@ -365,6 +372,98 @@ TEST(Determinism, WideNumThreadsOneNeverTouchesThePool) {
       << "a num_threads=1 wide sort must take the serial refine path";
   EXPECT_TRUE(dtt::stable_by_index_value(std::span<const tkv<u128>>(work),
                                          key_of_tkv<u128>));
+}
+
+namespace {
+
+// Set when a key read runs on any thread but the one that started the
+// call; shared by the key functor and the user codec below.
+std::thread::id g_caller;
+std::atomic<bool> g_foreign_key_read{false};
+
+void note_key_read() {
+  if (std::this_thread::get_id() != g_caller)
+    g_foreign_key_read.store(true, std::memory_order_relaxed);
+}
+
+struct traced_key {
+  std::int64_t v;
+};
+
+struct named_rec {
+  std::int64_t key;
+  std::string name;
+};
+
+}  // namespace
+
+// An expensive user codec: sort_by_key encodes each key exactly once, on
+// the permutation route.
+template <>
+struct dovetail::key_codec<traced_key> {
+  using encoded_t = std::uint64_t;
+  static encoded_t encode(traced_key k) {
+    note_key_read();
+    return key_codec<std::int64_t>::encode(k.v);
+  }
+  static traced_key decode(encoded_t e) {
+    return {key_codec<std::int64_t>::decode(e)};
+  }
+};
+
+TEST(Determinism, EncodeOnceNumThreadsOneStaysOnCaller) {
+  worker_count_guard guard;
+  par::scheduler::set_num_workers(4);
+  // num_threads = 1 is exact for the WHOLE call on the encoded key plan
+  // too: the encode pass and the gather run under the per-call cap, not
+  // just the nested radix sort.
+  const std::size_t n = std::size_t{1} << 20;
+  std::vector<std::int64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = static_cast<std::int64_t>(par::rand_at(5, i) % 100000) - 50000;
+  auto_sort_options opt;
+  opt.num_threads = 1;
+  g_caller = std::this_thread::get_id();
+  const auto traced = [](const std::int64_t& k) {
+    note_key_read();
+    return k;
+  };
+
+  g_foreign_key_read = false;
+  const auto perm =
+      dovetail::rank(std::span<const std::int64_t>(keys), traced, opt);
+  EXPECT_FALSE(g_foreign_key_read.load()) << "rank";
+  EXPECT_TRUE(std::is_sorted(perm.begin(), perm.end(),
+                             [&](index_t a, index_t b) {
+                               return keys[a] < keys[b];
+                             }));
+
+  std::vector<named_rec> recs(n);
+  for (std::size_t i = 0; i < n; ++i) recs[i] = {keys[i], {}};
+  g_foreign_key_read = false;
+  dovetail::sort(std::span<named_rec>(recs),
+                 [](const named_rec& r) {
+                   note_key_read();
+                   return r.key;
+                 },
+                 opt);
+  EXPECT_FALSE(g_foreign_key_read.load()) << "sort, std::string member";
+  EXPECT_TRUE(std::is_sorted(
+      recs.begin(), recs.end(),
+      [](const named_rec& a, const named_rec& b) { return a.key < b.key; }));
+
+  std::vector<traced_key> tk(n);
+  std::vector<std::uint32_t> vals(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    tk[i] = {keys[i]};
+    vals[i] = static_cast<std::uint32_t>(i);
+  }
+  g_foreign_key_read = false;
+  dovetail::sort_by_key(std::span<traced_key>(tk),
+                        std::span<std::uint32_t>(vals), opt);
+  EXPECT_FALSE(g_foreign_key_read.load()) << "sort_by_key, user codec";
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_EQ(tk[i].v, keys[vals[i]]);
 }
 
 // ---------------------------------------------------------------------------

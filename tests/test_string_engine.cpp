@@ -8,10 +8,9 @@
 //     segments engineered to recurse >= 3 continuation rounds — each
 //     checked byte-identical to std::stable_sort with
 //     std::less<std::string>, plus stability on duplicates via rank;
-//   * the continuation property — continuation and the PR-5 tie-break
-//     ablation (dispatch_policy::wide_continuation = false) produce
-//     byte-identical output across dispatch sizes x {serial,
-//     num_threads = 4} x {cold, warm pool};
+//   * the continuation property — output byte-identical to
+//     std::stable_sort across dispatch sizes x {serial, num_threads = 4} x
+//     {cold, warm pool};
 //   * the no-fallback guarantee — sort_stats::wide_tiebreak_fallbacks is
 //     0 whenever the continuation runs, even when equal-prefix segments
 //     dwarf wide_segment_base_case.
@@ -200,22 +199,14 @@ TEST(StringEngine, DeepContinuationRecursion) {
   EXPECT_GE(st.wide_continuation_segments.load(), 3u);
   EXPECT_GE(st.wide_max_byte_offset.load(), 56u);
   EXPECT_EQ(st.wide_tiebreak_fallbacks.load(), 0u);
-  // The ablation on the same input: identical bytes, and the fallback
-  // counter now reports the above-base-case comparison sorts the
-  // continuation engine is there to remove.
-  opt.policy.wide_continuation = false;
-  auto w = input;
-  dovetail::sort(std::span<std::string>(w), opt);
-  ASSERT_EQ(w, ref);
-  EXPECT_GE(st.wide_tiebreak_fallbacks.load(), 1u);
 }
 
-TEST(StringEngine, ContinuationMatchesTieBreakAblation) {
-  // The continuation property: byte-identical output vs the tie-break
-  // ablation (and the std::stable_sort reference) across dispatch sizes
-  // x {serial, num_threads = 4} x {cold, warm pool}. The pool loop runs
-  // each configuration twice on the same workspace_pool — first pass
-  // cold (arenas constructed), second warm (pure reuse).
+TEST(StringEngine, ContinuationMatchesStableSort) {
+  // The continuation property: byte-identical output vs the
+  // std::stable_sort reference across dispatch sizes x {serial,
+  // num_threads = 4} x {cold, warm pool}. The pool loop runs each
+  // configuration twice on the same workspace_pool — first pass cold
+  // (arenas constructed), second warm (pure reuse).
   const gen::distribution d{gen::dist_kind::exponential, 7, "Exp-7"};
   const std::size_t sizes[] = {0, 1, 2, 5, 100, 513, 4096, 20000};
   for (const std::size_t n : sizes) {
@@ -232,15 +223,9 @@ TEST(StringEngine, ContinuationMatchesTieBreakAblation) {
         opt.num_threads = threads;
         opt.policy.wide_segment_base_case = 256;
         auto cont = input;
-        opt.policy.wide_continuation = true;
         dovetail::sort(std::span<std::string>(cont), opt);
-        auto abl = input;
-        opt.policy.wide_continuation = false;
-        dovetail::sort(std::span<std::string>(abl), opt);
         ASSERT_EQ(cont, ref) << "continuation n=" << n << " threads="
                              << threads << " warm=" << warm;
-        ASSERT_EQ(abl, ref) << "ablation n=" << n << " threads=" << threads
-                            << " warm=" << warm;
       }
     }
   }

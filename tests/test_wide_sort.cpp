@@ -13,6 +13,9 @@
 //     the adversarial corpus battery lives in test_string_engine.cpp);
 //   * stability — duplicate wide keys keep increasing witness values;
 //   * sort_by_key / rank on wide keys;
+//   * a user prefix codec without the offset form: sort, sort_by_key,
+//     rank and top_k finish tied segments with the true-key tie-break
+//     (sort_stats::wide_tiebreak_fallbacks >= 1);
 //   * zero-alloc warm reuse — a second identical wide sort performs no
 //     workspace allocation (fused u128/pair paths and the string pair
 //     path's leases);
@@ -30,6 +33,7 @@
 
 #include "dovetail/core/auto_sort.hpp"
 #include "dovetail/core/key_codec.hpp"
+#include "dovetail/core/order_stats.hpp"
 #include "dovetail/core/wide_sort.hpp"
 #include "dovetail/generators/synthetic.hpp"
 #include "dovetail/parallel/random.hpp"
@@ -470,6 +474,92 @@ TEST(WideSort, SortByKeyU128AndStrings) {
   }
 }
 
+namespace {
+
+// A user prefix codec WITHOUT the offset form: two words cover (hi, lo),
+// `tail` is left to the true-key comparison. Residual segments therefore
+// finish with the comparison tie-break — the only route to it.
+struct coarse_key {
+  std::uint64_t hi;
+  std::uint64_t lo;
+  std::uint32_t tail;
+  friend bool operator<(const coarse_key& a, const coarse_key& b) {
+    return std::tie(a.hi, a.lo, a.tail) < std::tie(b.hi, b.lo, b.tail);
+  }
+  friend bool operator==(const coarse_key&, const coarse_key&) = default;
+};
+
+}  // namespace
+
+template <>
+struct dovetail::key_codec<coarse_key> {
+  static constexpr std::size_t encoded_words = 2;
+  static constexpr bool cheap = true;
+  static constexpr bool exhaustive = false;
+  static constexpr std::uint64_t encode_word(const coarse_key& k,
+                                             std::size_t w) noexcept {
+    return w == 0 ? k.hi : k.lo;
+  }
+};
+
+TEST(WideSort, PrefixCodecWithoutOffsetFormTieBreaks) {
+  static_assert(!wide_key_traits<coarse_key>::exhaustive);
+  static_assert(!wide_key_traits<coarse_key>::offset_encodable);
+  // 12 (hi, lo) classes of ~3.3k records each: every residual segment is
+  // far above the base case, so the tie-break sorts them on the true keys.
+  std::vector<tkv<coarse_key>> input(40000);
+  for (std::size_t i = 0; i < input.size(); ++i)
+    input[i] = {{rnd(i) % 4, rnd(i + 7) % 3,
+                 static_cast<std::uint32_t>(rnd(i + 11) % 5000)},
+                static_cast<std::uint32_t>(i)};
+  const auto key = [](const tkv<coarse_key>& r) -> const coarse_key& {
+    return r.key;
+  };
+  auto ref = input;
+  std::stable_sort(ref.begin(), ref.end(),
+                   [](const tkv<coarse_key>& a, const tkv<coarse_key>& b) {
+                     return a.key < b.key;
+                   });
+  sort_stats st;
+  auto_sort_options opt;
+  opt.stats = &st;
+  opt.policy.wide_segment_base_case = 512;
+
+  auto v = input;  // fused wide sort
+  dovetail::sort(std::span<tkv<coarse_key>>(v), key, opt);
+  ASSERT_EQ(v, ref);
+  EXPECT_GE(st.wide_tiebreak_fallbacks.load(), 1u);
+
+  std::vector<coarse_key> keys(input.size());  // the permutation route
+  std::vector<std::uint32_t> vals(input.size());
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    keys[i] = input[i].key;
+    vals[i] = input[i].value;
+  }
+  st.wide_tiebreak_fallbacks = 0;
+  dovetail::sort_by_key(std::span<coarse_key>(keys),
+                        std::span<std::uint32_t>(vals), opt);
+  EXPECT_GE(st.wide_tiebreak_fallbacks.load(), 1u);
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(keys[i], ref[i].key);
+    ASSERT_EQ(vals[i], ref[i].value);
+  }
+
+  const auto perm =
+      dovetail::rank(std::span<const tkv<coarse_key>>(input), key, opt);
+  for (std::size_t i = 0; i < ref.size(); ++i)
+    ASSERT_EQ(input[perm[i]], ref[i]);
+
+  for (const std::size_t k : {std::size_t{1}, std::size_t{700},
+                              std::size_t{5000}}) {
+    auto w = input;
+    const auto top = top_k(std::span<tkv<coarse_key>>(w), k, key,
+                           rank_side::smallest, opt);
+    ASSERT_EQ(top.size(), k);
+    for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(top[i], ref[i]) << k;
+  }
+}
+
 TEST(WideSort, RankDoesNotMutateAndMatchesStableSort) {
   const gen::distribution d{gen::dist_kind::zipfian, 1.5, "Zipf-1.5"};
   const auto recs = gen::generate_wide_records<pair64>(d, 30000, 10, 8);
@@ -520,10 +610,10 @@ TEST(WideSort, ZeroAllocWarmReuse) {
       << "warm string sort allocated workspace slabs";
   // The continuation recursion too: a long-common-prefix corpus with a
   // tiny base case drives several re-encode rounds through the same
-  // leased tables (serial refine keeps every lease on this workspace, so
-  // the count is deterministic), and a warm repeat must add nothing.
+  // leased tables (one thread keeps every lease on this workspace, so the
+  // count is deterministic), and a warm repeat must add nothing.
   opt.policy.wide_segment_base_case = 64;
-  opt.policy.parallel_wide_refine = false;
+  opt.num_threads = 1;
   const auto lp = gen::generate_lcp_string_keys(d, 20000, 13, 64);
   s = lp;
   dovetail::sort(std::span<std::string>(s), opt);  // warm-up for this shape
